@@ -19,7 +19,7 @@ from . import evaluate, fileio, losses, pipeline, synth
 from .config import apply_overrides, load_config
 from .labels import derive_record
 from .models import DEPTHS, HEADS, ModelSpec, build_model, load_checkpoint, param_count
-from .trainer import lr_finder
+from .trainer import batch_loss, lr_finder
 
 
 class CliError(Exception):
@@ -59,14 +59,11 @@ def _load_run_config(args):
         raise _config_error(exc) from exc
 
 
-def _build_dataset(cfg, workers: int = 1):
+def _build_dataset(cfg):
     try:
-        records = pipeline.build_records(cfg.data)
-    except (FileNotFoundError, OSError) as exc:
+        return pipeline.build_records(cfg.data)
+    except (OSError, ValueError) as exc:
         raise _data_error(exc) from exc
-    except ValueError as exc:
-        raise _data_error(exc) from exc
-    return records
 
 
 def cmd_synth(args) -> int:
@@ -133,10 +130,8 @@ def cmd_lr_find(args) -> int:
     mb = cfg.train.micro_batch
     batches = [train_recs[i:i + mb] for i in range(0, len(train_recs), mb)]
 
-    from .trainer import _batch_loss
-
     def loss_fn(chunk):
-        return _batch_loss(model, chunk, cfg.train.loss_id)[0]
+        return batch_loss(model, chunk, cfg.train.loss_id)[0]
 
     res = lr_finder(loss_fn, params, batches, lr_lo=args.lr_lo, lr_hi=args.lr_hi,
                     steps=args.steps)
@@ -231,7 +226,6 @@ def _add_config_flags(p, with_overrides: bool = True):
         p.add_argument("--model", choices=DEPTHS)
         p.add_argument("--head", choices=HEADS)
         p.add_argument("--loss", choices=losses.LOSS_IDS)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="input tile (.ppm or .nct)")
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=256)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="metrics between predicted and reference masks")

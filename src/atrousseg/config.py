@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .augment import AugmentConfig
-from .models import DEPTHS, HEADS, ModelSpec
+from .models import ModelSpec
 from .trainer import TrainConfig
 
 
@@ -125,12 +125,8 @@ def apply_overrides(cfg: RunConfig, *, seed=None, epochs=None, model=None,
     if loss is not None:
         train_kw["loss_id"] = loss
     if model is not None:
-        if model not in DEPTHS:
-            raise ValueError(f"unknown model depth {model!r}; choose from {DEPTHS}")
         model_kw["depth"] = model
     if head is not None:
-        if head not in HEADS:
-            raise ValueError(f"unknown head {head!r}; choose from {HEADS}")
         model_kw["head"] = head
     aug = cfg.augment
     return RunConfig(model=ModelSpec(**model_kw), train=TrainConfig(**train_kw),

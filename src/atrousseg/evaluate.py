@@ -10,25 +10,16 @@ import numpy as np
 from . import fileio
 
 
-def _reflect_indices(n: int, before: int, after: int) -> np.ndarray:
-    """Mirror-without-edge-repeat index vector for [-before, n + after)."""
-    idx = np.arange(-before, n + after)
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * (n - 1)
-    k = np.mod(idx, period)
-    return np.where(k < n, k, period - k)
-
-
 def reflect_pad(tile, pad_top: int, pad_bottom: int, pad_left: int, pad_right: int):
     """Reflect-pad the last two axes; the edge pixel is not duplicated.
 
-    Index arithmetic, so pads wider than the tile itself are fine.
+    Pads wider than the tile itself mirror back and forth; a 1-pixel axis
+    repeats its pixel.
     """
     arr = np.asarray(tile)
-    rows = _reflect_indices(arr.shape[-2], pad_top, pad_bottom)
-    cols = _reflect_indices(arr.shape[-1], pad_left, pad_right)
-    return arr[..., rows, :][..., :, cols]
+    lead = ((0, 0),) * (arr.ndim - 2)
+    return np.pad(arr, lead + ((pad_top, pad_bottom), (pad_left, pad_right)),
+                  mode="reflect")
 
 
 def _as_predict(model):
@@ -75,7 +66,6 @@ def sliding_window_inference(tile, model, window: int = 256,
     canvas = reflect_pad(arr, lead, pad_bottom, lead, pad_right)
 
     acc = None
-    count = np.zeros(canvas.shape[-2:], dtype=np.float64)
     for orow in off_rows + lead:          # canvas coordinates
         for ocol in off_cols + lead:
             patch = canvas[:, orow:orow + window, ocol:ocol + window]
@@ -88,9 +78,7 @@ def sliding_window_inference(tile, model, window: int = 256,
             if acc is None:
                 acc = np.zeros((probs.shape[1],) + canvas.shape[-2:], dtype=np.float64)
             acc[:, orow:orow + window, ocol:ocol + window] += probs[0]
-            count[orow:orow + window, ocol:ocol + window] += 1.0
-    out = acc[:, lead:lead + ht, lead:lead + wt] / count[lead:lead + ht, lead:lead + wt]
-    return out
+    return acc[:, lead:lead + ht, lead:lead + wt] / (window // stride) ** 2
 
 
 @dataclass

@@ -24,18 +24,22 @@ def write_nct(path, array) -> None:
         fh.write(arr.tobytes())
 
 
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ValueError(f"{path}: truncated {what}")
+    return buf
+
+
 def read_nct(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "rank header"))
+        shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "extents header"))
         count = int(np.prod(shape)) if shape else 1
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
-            raise ValueError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype="<f4")
+        data = np.frombuffer(_read_exact(fh, 4 * count, path, "payload"), dtype="<f4")
     return data.reshape(shape).copy()
 
 
@@ -99,7 +103,3 @@ def ensure_dir(path) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
-
-
-def as_path(path) -> Path:
-    return Path(path)

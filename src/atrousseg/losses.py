@@ -28,14 +28,27 @@ def _class_sums(x: Node) -> Node:
     return x.sum(axis=axes)
 
 
-def _check_weights(p: Node, weights) -> np.ndarray:
+def _weights(p: Node, weights) -> Node | None:
+    if weights is None:
+        return None
     w = np.asarray(weights, dtype=np.float64)
     if p.ndim < 2:
         raise ValueError("weighted losses need a class axis (axis 1)")
     if w.shape != (p.shape[1],):
         raise ValueError(
             f"weight vector has length {w.shape}, expected ({p.shape[1]},)")
-    return w
+    return Node(w)
+
+
+def _pooled(w: Node | None, *terms: Node) -> Node:
+    """Sum the terms over all elements, or weight their class sums by ``w``.
+
+    The unweighted case is not unit weights: pooling per class first would
+    change the f32 rounding and would need a class axis.
+    """
+    first, *rest = (t.sum() if w is None else _class_sums(t) for t in terms)
+    total = sum(rest, first)
+    return total if w is None else (w * total).sum()
 
 
 def _ratio(num: Node, den: Node, eps: float) -> Node:
@@ -45,41 +58,23 @@ def _ratio(num: Node, den: Node, eps: float) -> Node:
 def dice_d1(p, l, weights=None, eps: float = EPS) -> Node:
     """2*sum(p*l) / (sum(p) + sum(l)), optionally class-weighted."""
     p, l = as_node(p), as_node(l)
-    if weights is None:
-        return _ratio(2.0 * (p * l).sum(), p.sum() + l.sum(), eps)
-    w = _check_weights(p, weights)
-    num = (Node(w) * _class_sums(p * l)).sum() * 2.0
-    den = (Node(w) * (_class_sums(p) + _class_sums(l))).sum()
-    return _ratio(num, den, eps)
+    w = _weights(p, weights)
+    return _ratio(2.0 * _pooled(w, p * l), _pooled(w, p, l), eps)
 
 
 def dice_d2(p, l, weights=None, eps: float = EPS) -> Node:
     """2*sum(p*l) / sum(p^2 + l^2), optionally class-weighted."""
     p, l = as_node(p), as_node(l)
-    if weights is None:
-        return _ratio(2.0 * (p * l).sum(), (p * p).sum() + (l * l).sum(), eps)
-    w = _check_weights(p, weights)
-    num = (Node(w) * _class_sums(p * l)).sum() * 2.0
-    den = (Node(w) * (_class_sums(p * p) + _class_sums(l * l))).sum()
-    return _ratio(num, den, eps)
+    w = _weights(p, weights)
+    return _ratio(2.0 * _pooled(w, p * l), _pooled(w, p * p, l * l), eps)
 
 
 def tanimoto_d3(p, l, weights=None, eps: float = EPS) -> Node:
     """sum(p*l) / (sum(p^2 + l^2) - sum(p*l)), optionally class-weighted."""
     p, l = as_node(p), as_node(l)
-    if weights is None:
-        inter = (p * l).sum()
-        return _ratio(inter, (p * p).sum() + (l * l).sum() - inter, eps)
-    w = _check_weights(p, weights)
-    wn = Node(w)
-    inter = (wn * _class_sums(p * l)).sum()
-    den = (wn * (_class_sums(p * p) + _class_sums(l * l))).sum() - inter
-    return _ratio(inter, den, eps)
-
-
-def tanimoto_multiclass(p, l, weights, eps: float = EPS) -> Node:
-    """Class-weighted Tanimoto coefficient over a one-hot label tensor."""
-    return tanimoto_d3(p, l, weights=weights, eps=eps)
+    w = _weights(p, weights)
+    inter = _pooled(w, p * l)
+    return _ratio(inter, _pooled(w, p * p, l * l) - inter, eps)
 
 
 def with_complement(base):

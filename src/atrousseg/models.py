@@ -262,18 +262,6 @@ def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Segmentatio
     return SegmentationModel(spec, seed=seed, dtype=dtype)
 
 
-def build_d6(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> SegmentationModel:
-    if spec.depth != "d6":
-        raise ValueError(f"build_d6 needs depth 'd6', got {spec.depth!r}")
-    return build_model(spec, seed=seed, dtype=dtype)
-
-
-def build_d7(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> SegmentationModel:
-    if spec.depth not in ("d7v1", "d7v2"):
-        raise ValueError(f"build_d7 needs depth 'd7v1' or 'd7v2', got {spec.depth!r}")
-    return build_model(spec, seed=seed, dtype=dtype)
-
-
 def param_count(module: Module) -> int:
     """Total number of trainable scalar parameters."""
     return sum(p.size for p in module.parameters())

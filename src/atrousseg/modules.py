@@ -48,11 +48,6 @@ class Module:
         for name, mod in self._modules.items():
             yield from mod.named_buffers(prefix + name + ".")
 
-    def modules(self):
-        yield self
-        for mod in self._modules.values():
-            yield from mod.modules()
-
     # -- state -----------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)
@@ -62,10 +57,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: p.value for name, p in self.named_parameters()}

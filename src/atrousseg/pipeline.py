@@ -14,7 +14,7 @@ from .augment import PatchRef, split_dataset
 from .config import DataConfig, RunConfig, write_snapshot
 from .labels import SampleRecord, derive_record
 from .models import build_model, param_count, save_checkpoint
-from .trainer import TrainResult, evaluate_records, history_to_csv, train
+from .trainer import evaluate_records, history_to_csv, train
 
 
 def build_records(data: DataConfig) -> list[SampleRecord]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -158,9 +159,11 @@ def write_dataset(scenes: list[Scene], out_dir, spec: SceneSpec | None = None) -
 
 def load_dataset(root) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read back (image, mask) pairs written by write_dataset."""
-    root = fileio.as_path(root)
+    root = Path(root)
     with open(root / "manifest.json") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or "entries" not in manifest:
+        raise ValueError(f"{root / 'manifest.json'}: dataset manifest has no 'entries' key")
     pairs = []
     for entry in manifest["entries"]:
         if "tensor" in entry:

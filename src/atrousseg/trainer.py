@@ -5,7 +5,7 @@ tracking."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,7 +222,8 @@ def _collate(records: list[SampleRecord]):
     return x, targets, masks
 
 
-def _batch_loss(model, records, loss_id):
+def batch_loss(model, records, loss_id):
+    """Forward one micro-batch of records; returns (multitask loss, model output)."""
     x, targets, _ = _collate(records)
     out = model(Node(x))
     return multitask_loss(out, targets, loss_id=loss_id), out
@@ -240,7 +241,7 @@ def evaluate_records(model, records, loss_id, micro_batch, n_classes):
         with no_grad():
             for lo in range(0, len(records), micro_batch):
                 chunk = records[lo:lo + micro_batch]
-                loss, out = _batch_loss(model, chunk, loss_id)
+                loss, out = batch_loss(model, chunk, loss_id)
                 loss_sum += loss.item() * len(chunk)
                 pred = out.segmentation.value.argmax(axis=1)
                 c = confusion(pred, np.stack([r.mask for r in chunk]), n_classes)
@@ -295,7 +296,7 @@ def train(model, train_records, val_records, cfg: TrainConfig) -> TrainResult:
             preds = []
 
             def forward(chunk):
-                loss, out = _batch_loss(model, chunk, cfg.loss_id)
+                loss, out = batch_loss(model, chunk, cfg.loss_id)
                 preds.append(out.segmentation.value.argmax(axis=1))
                 return loss
 

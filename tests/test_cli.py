@@ -9,7 +9,7 @@ import pytest
 
 from atrousseg import fileio
 from atrousseg.cli import main
-from atrousseg.models import param_count, build_model, ModelSpec
+from atrousseg.models import param_count, build_model, ModelSpec, save_checkpoint
 
 
 def write_config(tmp_path, **extra):
@@ -142,6 +142,27 @@ class TestSynthAndLabels:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert stderr_error(capsys)[0] == "data"
+
+
+class TestMalformedInput:
+    @staticmethod
+    def assert_one_data_error_line(argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error kind=data msg="')
+
+    def test_short_nct_header(self, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        save_checkpoint(build_model(ModelSpec(depth="d6", initial_filters=4, n_classes=3)), ckpt)
+        (tmp_path / "t.nct").write_bytes(b"NCT1")
+        self.assert_one_data_error_line(
+            ["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "t.nct"),
+             "--out", str(tmp_path / "o")], capsys)
+
+    def test_manifest_without_entries(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"n_images": 1}')
+        self.assert_one_data_error_line(
+            ["derive-labels", "--data", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
 
 
 @pytest.fixture(scope="module")

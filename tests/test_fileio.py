@@ -57,6 +57,14 @@ class TestNct:
         with pytest.raises(ValueError, match="truncated"):
             read_nct(path)
 
+    @pytest.mark.parametrize("header", [b"", b"\x02\x00", struct.pack("<2I", 2, 4)],
+                             ids=["no-rank", "half-rank", "one-of-two-extents"])
+    def test_truncated_header_rejected(self, tmp_path, header):
+        path = tmp_path / "t.nct"
+        path.write_bytes(b"NCT1" + header)
+        with pytest.raises(ValueError, match="truncated .* header"):
+            read_nct(path)
+
     def test_mutating_result_is_safe(self, tmp_path):
         # read_nct must hand back an owned array, not a frombuffer view
         path = tmp_path / "o.nct"

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from atrousseg.autodiff import parameter
 from atrousseg.losses import (EPS, LOSS_IDS, LossField, dice_d1, dice_d2,
                               field_sample, field_to_csv, loss_fn,
-                              multitask_loss, tanimoto_d3,
-                              tanimoto_multiclass, volume_weights,
+                              multitask_loss, tanimoto_d3, volume_weights,
                               with_complement)
 from conftest import numeric_gradient, rel_err
 
@@ -67,7 +66,7 @@ class TestWeighted:
     def test_weight_length_validated(self):
         p = np.random.default_rng(0).random((2, 3, 4, 4))
         with pytest.raises(ValueError, match="length"):
-            tanimoto_multiclass(p, p, weights=np.ones(2))
+            tanimoto_d3(p, p, weights=np.ones(2))
 
     def test_uniform_weights_match_flat(self, rng):
         p = rng.random((2, 3, 4, 4))

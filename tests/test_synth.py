@@ -135,3 +135,8 @@ class TestDatasetIo:
         scenes = generate(SceneSpec(size=64, n_images=1, seed=2))
         write_dataset(scenes, tmp_path)
         assert len(load_dataset(tmp_path)) == 1
+
+    def test_manifest_without_entries_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"n_images": 1}')
+        with pytest.raises(ValueError, match="manifest.json.*entries"):
+            load_dataset(tmp_path)
