@@ -20,7 +20,6 @@ from .labels import SampleRecord, derive_record
 class AugmentConfig:
     scale_range: tuple[float, float] = (0.75, 1.33)
     flip_prob: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.scale_range
@@ -125,8 +124,8 @@ def extract_patches(tile, size: int = 256, stride: int = 128) -> list[np.ndarray
 
 
 def _overlap_groups(patches: Sequence[PatchRef]) -> list[list[int]]:
-    # Connected components of the overlap graph, built per tile with a
-    # sweep over sorted offsets (overlap is symmetric in the window extent).
+    # Connected components of the overlap graph: within each tile every pair
+    # of patches is compared, and overlapping pairs are joined by union-find.
     parent = list(range(len(patches)))
 
     def find(i):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnops
-from .autodiff import Node, ShapeError
+from .autodiff import Node, ShapeError, as_node
 from .modules import BatchNorm2d, Conv2d, Module, ModuleList
 
 
@@ -79,7 +79,7 @@ class ResBlockA(Module):
             for d in cfg.dilations)
 
     def forward(self, x) -> Node:
-        x = x if isinstance(x, Node) else Node(np.asarray(x))
+        x = as_node(x)
         if x.shape[1] != self.cfg.filters:
             raise ShapeError(
                 f"resblock_a: input has {x.shape[1]} channels but the block expects "

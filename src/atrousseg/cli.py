@@ -68,13 +68,10 @@ def _build_dataset(cfg):
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    d = cfg.data
-    spec = synth.SceneSpec(size=d.size, n_classes=d.n_classes, n_images=d.n_images,
-                           channels=d.channels, shapes_per_class=d.shapes_per_class,
-                           seed=d.seed, max_extent=dict(d.max_extent))
+    spec = cfg.data.scene_spec()
     out = fileio.ensure_dir(Path(cfg.out_dir))
     synth.write_dataset(synth.generate(spec), out, spec)
-    print(f"wrote {d.n_images} scenes to {out}")
+    print(f"wrote {spec.n_images} scenes to {out}")
     return 0
 
 
@@ -126,15 +123,14 @@ def cmd_lr_find(args) -> int:
     if not train_recs:
         raise _data_error("no training records after split")
     model = build_model(cfg.model, seed=cfg.train.seed)
-    params = [p for _, p in model.named_parameters()]
     mb = cfg.train.micro_batch
     batches = [train_recs[i:i + mb] for i in range(0, len(train_recs), mb)]
 
     def loss_fn(chunk):
         return batch_loss(model, chunk, cfg.train.loss_id)[0]
 
-    res = lr_finder(loss_fn, params, batches, lr_lo=args.lr_lo, lr_hi=args.lr_hi,
-                    steps=args.steps)
+    res = lr_finder(loss_fn, model.parameters(), batches, lr_lo=args.lr_lo,
+                    lr_hi=args.lr_hi, steps=args.steps)
     out = fileio.ensure_dir(Path(cfg.out_dir))
     with open(out / "lr_curve.csv", "w") as fh:
         fh.write("lr,loss,smoothed\n")
@@ -152,7 +148,7 @@ def cmd_lr_find(args) -> int:
 def cmd_infer(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
-        tile = pipeline.load_image(args.image)
+        tile = fileio.read_image(args.image)
     except (FileNotFoundError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise _data_error(exc) from exc
     try:

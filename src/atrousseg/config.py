@@ -4,11 +4,12 @@ validation up front, and resolved-snapshot serialization."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .augment import AugmentConfig
 from .models import ModelSpec
+from .synth import SceneSpec
 from .trainer import TrainConfig
 
 
@@ -31,6 +32,12 @@ class DataConfig:
             raise ValueError(f"data.kind must be 'synthetic' or 'directory', got {self.kind!r}")
         if self.kind == "directory" and not self.path:
             raise ValueError("data.kind 'directory' requires data.path")
+
+    def scene_spec(self) -> SceneSpec:
+        """The synthetic-scene recipe of this section."""
+        return SceneSpec(size=self.size, n_classes=self.n_classes, n_images=self.n_images,
+                         channels=self.channels, shapes_per_class=self.shapes_per_class,
+                         seed=self.seed, max_extent=dict(self.max_extent))
 
 
 @dataclass
@@ -113,25 +120,14 @@ def load_config(path) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, *, seed=None, epochs=None, model=None,
                     head=None, loss=None, out_dir=None) -> RunConfig:
-    """Flat CLI flags win over file values; returns a rebuilt RunConfig."""
-    model_kw = asdict(cfg.model)
-    train_kw = asdict(cfg.train)
-    train_kw["betas"] = tuple(train_kw["betas"])
-    train_kw["augment"] = cfg.train.augment    # keep the object, not a dict
-    if seed is not None:
-        train_kw["seed"] = seed
-    if epochs is not None:
-        train_kw["max_epochs"] = epochs
-    if loss is not None:
-        train_kw["loss_id"] = loss
-    if model is not None:
-        model_kw["depth"] = model
-    if head is not None:
-        model_kw["head"] = head
-    aug = cfg.augment
-    return RunConfig(model=ModelSpec(**model_kw), train=TrainConfig(**train_kw),
-                     data=cfg.data, augment=aug,
-                     out_dir=out_dir if out_dir is not None else cfg.out_dir)
+    """Flat CLI flags win over file values; returns a new RunConfig."""
+    def given(**flags):
+        return {k: v for k, v in flags.items() if v is not None}
+
+    return replace(cfg, model=replace(cfg.model, **given(depth=model, head=head)),
+                   train=replace(cfg.train, **given(seed=seed, max_epochs=epochs,
+                                                    loss_id=loss)),
+                   **given(out_dir=out_dir))
 
 
 def snapshot(cfg: RunConfig) -> dict:

@@ -99,6 +99,17 @@ def read_ppm(path) -> np.ndarray:
     return data.reshape(height, width, 3).copy()
 
 
+def read_image(path) -> np.ndarray:
+    """Read a (C, H, W) float32 image: NCT1 as stored, PPM scaled to [0, 1]."""
+    p = Path(path)
+    if p.suffix == ".nct":
+        arr = read_nct(p)
+        if arr.ndim != 3:
+            raise ValueError(f"{p}: expected a (C, H, W) tensor, got shape {arr.shape}")
+        return arr
+    return (read_ppm(p).astype(np.float32) / 255.0).transpose(2, 0, 1)
+
+
 def ensure_dir(path) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)

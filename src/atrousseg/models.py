@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, nnops
-from .autodiff import Node, ShapeError, no_grad
+from .autodiff import Node, ShapeError, as_node
 from .blocks import BlockConfig, Combine, Conv2DN, PSPPooling, ResBlockA, UpSampleBlock
 from .modules import Conv2d, Module, ModuleList
 
@@ -232,7 +232,7 @@ class SegmentationModel(Module):
             spec.initial_filters, spec.n_classes, rng, dtype)
 
     def forward(self, x) -> MultiHeadOutput:
-        x = x if isinstance(x, Node) else Node(np.asarray(x))
+        x = as_node(x)
         if x.ndim != 4:
             raise ShapeError(f"model input must be NCHW, got shape {x.shape}")
         n, c, h, w = x.shape
@@ -248,14 +248,8 @@ class SegmentationModel(Module):
 
     def predict(self, x) -> dict[str, np.ndarray]:
         """Eval-mode forward without graph recording; returns plain arrays."""
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                out = self.forward(x)
-        finally:
-            self.train(was_training)
-        return out.arrays()
+        with self.evaluating():
+            return self.forward(x).arrays()
 
 
 def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> SegmentationModel:

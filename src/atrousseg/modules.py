@@ -8,10 +8,12 @@ attribute assignment, mirroring the conventions of the larger frameworks.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import nnops
-from .autodiff import Node, ShapeError, parameter
+from .autodiff import Node, ShapeError, no_grad, parameter
 
 
 class Module:
@@ -58,14 +60,24 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    @contextmanager
+    def evaluating(self):
+        """Eval mode without graph recording; the previous mode is restored."""
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                yield
+        finally:
+            self.train(was_training)
+
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: p.value for name, p in self.named_parameters()}
         state.update(dict(self.named_buffers()))
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = {name: p.value for name, p in self.named_parameters()}
-        own.update(dict(self.named_buffers()))
+        own = self.state_dict()
         missing = sorted(set(own) - set(state))
         if missing:
             raise KeyError(f"state dict is missing entries: {missing}")

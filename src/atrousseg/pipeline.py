@@ -5,9 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
-
-import numpy as np
 
 from . import fileio, synth
 from .augment import PatchRef, split_dataset
@@ -20,11 +17,7 @@ from .trainer import evaluate_records, history_to_csv, train
 def build_records(data: DataConfig) -> list[SampleRecord]:
     """Materialize SampleRecords from a synthetic recipe or a directory."""
     if data.kind == "synthetic":
-        spec = synth.SceneSpec(size=data.size, n_classes=data.n_classes,
-                               n_images=data.n_images, channels=data.channels,
-                               shapes_per_class=data.shapes_per_class,
-                               seed=data.seed, max_extent=dict(data.max_extent))
-        pairs = [(s.image, s.mask) for s in synth.generate(spec)]
+        pairs = [(s.image, s.mask) for s in synth.generate(data.scene_spec())]
     else:
         pairs = synth.load_dataset(data.path)
     return [derive_record(img, mask, data.n_classes) for img, mask in pairs]
@@ -75,14 +68,3 @@ def run_training(cfg: RunConfig, out_dir=None):
              "checkpoint": ckpt_dir, "summary": out / "summary.json"}
     return model, result, paths
 
-
-def load_image(path) -> np.ndarray:
-    """Read a (C, H, W) float32 image from NCT1 or PPM."""
-    p = Path(path)
-    if p.suffix == ".nct":
-        arr = fileio.read_nct(p)
-        if arr.ndim != 3:
-            raise ValueError(f"{p}: expected a (C, H, W) tensor, got shape {arr.shape}")
-        return arr
-    rgb = fileio.read_ppm(p)
-    return (rgb.astype(np.float32) / 255.0).transpose(2, 0, 1)

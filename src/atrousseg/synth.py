@@ -159,18 +159,20 @@ def write_dataset(scenes: list[Scene], out_dir, spec: SceneSpec | None = None) -
 
 def load_dataset(root) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read back (image, mask) pairs written by write_dataset."""
-    root = Path(root)
-    with open(root / "manifest.json") as fh:
+    path = Path(root) / "manifest.json"
+    with open(path) as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict) or "entries" not in manifest:
-        raise ValueError(f"{root / 'manifest.json'}: dataset manifest has no 'entries' key")
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: dataset manifest needs an 'entries' list")
     pairs = []
-    for entry in manifest["entries"]:
-        if "tensor" in entry:
-            image = fileio.read_nct(root / entry["tensor"])
-        else:
-            rgb8 = fileio.read_ppm(root / entry["image"])
-            image = (rgb8.astype(np.float32) / 255.0).transpose(2, 0, 1)
-        mask = fileio.read_pgm(root / entry["mask"]).astype(np.int64)
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(k), str) for k in ("image", "mask"))
+                and isinstance(entry.get("tensor", ""), str)):
+            raise ValueError(f"{path}: entry {i} must be an object with "
+                             "'image' and 'mask' file names")
+        image = fileio.read_image(path.parent / entry.get("tensor", entry["image"]))
+        mask = fileio.read_pgm(path.parent / entry["mask"]).astype(np.int64)
         pairs.append((image, mask))
     return pairs

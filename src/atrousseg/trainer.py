@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, augment_record
-from .autodiff import Node, no_grad
+from .autodiff import Node
 from .evaluate import confusion, metrics
-from .labels import SampleRecord
 from .losses import LOSS_IDS, multitask_loss
 
 
@@ -210,45 +209,40 @@ def history_to_csv(history, path) -> None:
                              f"{row.lr:.10g}"])
 
 
-def _collate(records: list[SampleRecord]):
-    x = np.stack([r.image for r in records])
-    targets = {
-        "segmentation": np.stack([r.onehot for r in records]),
-        "boundary": np.stack([r.boundary for r in records]),
-        "distance": np.stack([r.distance for r in records]),
-        "color": np.stack([r.hsv for r in records]),
-    }
-    masks = np.stack([r.mask for r in records])
-    return x, targets, masks
+# Record field each head is trained against.
+_TARGET_FIELDS = {"segmentation": "onehot", "boundary": "boundary",
+                  "distance": "distance", "color": "hsv"}
 
 
 def batch_loss(model, records, loss_id):
-    """Forward one micro-batch of records; returns (multitask loss, model output)."""
-    x, targets, _ = _collate(records)
-    out = model(Node(x))
+    """Forward one micro-batch of records; returns (multitask loss, model output).
+
+    Only the targets of the model's own heads are stacked.
+    """
+    out = model(Node(np.stack([r.image for r in records])))
+    targets = {task: np.stack([getattr(r, _TARGET_FIELDS[task]) for r in records])
+               for task in out.tasks()}
     return multitask_loss(out, targets, loss_id=loss_id), out
+
+
+def _add_confusion(cm, out, records, n_classes):
+    """``cm`` plus the confusion of one micro-batch: segmentation argmax vs. masks."""
+    c = confusion(out.segmentation.value.argmax(axis=1),
+                  np.stack([r.mask for r in records]), n_classes)
+    return c if cm is None else cm + c
 
 
 def evaluate_records(model, records, loss_id, micro_batch, n_classes):
     """Eval-mode loss and micro-pooled MCC over a record list."""
     if not records:
         raise ValueError("evaluate_records needs at least one record")
-    was_training = model.training
-    model.eval()
-    cm = None
-    loss_sum = 0.0
-    try:
-        with no_grad():
-            for lo in range(0, len(records), micro_batch):
-                chunk = records[lo:lo + micro_batch]
-                loss, out = batch_loss(model, chunk, loss_id)
-                loss_sum += loss.item() * len(chunk)
-                pred = out.segmentation.value.argmax(axis=1)
-                c = confusion(pred, np.stack([r.mask for r in chunk]), n_classes)
-                cm = c if cm is None else cm + c
-    finally:
-        if was_training:
-            model.train()
+    cm, loss_sum = None, 0.0
+    with model.evaluating():
+        for lo in range(0, len(records), micro_batch):
+            chunk = records[lo:lo + micro_batch]
+            loss, out = batch_loss(model, chunk, loss_id)
+            loss_sum += loss.item() * len(chunk)
+            cm = _add_confusion(cm, out, chunk, n_classes)
     mcc = metrics(cm)["overall"]["mcc"]
     return loss_sum / len(records), mcc
 
@@ -264,7 +258,7 @@ def train(model, train_records, val_records, cfg: TrainConfig) -> TrainResult:
     if not train_records or not val_records:
         raise ValueError("train() needs non-empty train and val record lists")
     n_classes = train_records[0].n_classes
-    params = [p for _, p in model.named_parameters()]
+    params = model.parameters()
     opt = Adam(params, lr=cfg.lr, betas=cfg.betas)
 
     best_state = {k: v.copy() for k, v in model.state_dict().items()}
@@ -293,11 +287,10 @@ def train(model, train_records, val_records, cfg: TrainConfig) -> TrainResult:
             micro = [records[j:j + cfg.micro_batch]
                      for j in range(0, len(records), cfg.micro_batch)]
 
-            preds = []
-
             def forward(chunk):
+                nonlocal cm
                 loss, out = batch_loss(model, chunk, cfg.loss_id)
-                preds.append(out.segmentation.value.argmax(axis=1))
+                cm = _add_confusion(cm, out, chunk, n_classes)
                 return loss
 
             agg = aggregate_gradients(forward, params, micro)
@@ -308,9 +301,6 @@ def train(model, train_records, val_records, cfg: TrainConfig) -> TrainResult:
             opt.step()
             epoch_loss += agg * len(idxs)
             seen += len(idxs)
-            c = confusion(np.concatenate(preds),
-                          np.stack([r.mask for r in records]), n_classes)
-            cm = c if cm is None else cm + c
         if halted:
             break
 

@@ -164,6 +164,13 @@ class TestMalformedInput:
         self.assert_one_data_error_line(
             ["derive-labels", "--data", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
 
+    @pytest.mark.parametrize("manifest", ['{"entries": [{}]}', '{"entries": [3]}',
+                                          '{"entries": {}}'])
+    def test_malformed_manifest_entries(self, tmp_path, capsys, manifest):
+        (tmp_path / "manifest.json").write_text(manifest)
+        self.assert_one_data_error_line(
+            ["derive-labels", "--data", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
@@ -235,9 +242,9 @@ class TestTrainPipeline:
         arr = fileio.read_nct(broken / victim)
         fileio.write_nct(broken / victim, np.full_like(arr, np.nan))
 
-        ds = trained_run / "ds"
-        code = main(["infer", "--checkpoint", str(broken),
-                     "--image", str(ds / "scene_0000.ppm"),
+        tile = trained_run / "corrupt_tile.ppm"
+        fileio.write_ppm(tile, np.random.default_rng(0).integers(0, 256, (64, 64, 3)))
+        code = main(["infer", "--checkpoint", str(broken), "--image", str(tile),
                      "--out", str(trained_run / "x"), "--window", "64"])
         assert code == 3
         kind, msg = stderr_error(capsys)

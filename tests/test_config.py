@@ -51,6 +51,16 @@ class TestParse:
         with pytest.raises(ValueError, match="unknown keys.*'train'.*learning_rate"):
             parse_config({"train": {"learning_rate": 0.1}})
 
+    def test_augment_seed_is_not_a_key(self):
+        with pytest.raises(ValueError, match="unknown keys.*'augment'.*seed"):
+            parse_config({"augment": {"seed": 1}})
+
+    def test_scene_spec_follows_data_section(self):
+        data = parse_config(full_document()).data
+        spec = data.scene_spec()
+        assert (spec.size, spec.n_classes, spec.n_images, spec.seed) == (64, 3, 4, 1)
+        assert spec.max_extent == {2: 5} and spec.max_extent is not data.max_extent
+
     def test_runtime_only_field_rejected_in_file(self):
         with pytest.raises(ValueError, match="augment"):
             parse_config({"train": {"augment": {}}})

@@ -4,7 +4,7 @@ and checkpoint round-trips."""
 import numpy as np
 import pytest
 
-from atrousseg.autodiff import Node, ShapeError
+from atrousseg.autodiff import Node, ShapeError, is_grad_enabled
 from atrousseg.models import (ModelSpec, build_model, load_checkpoint,
                               param_count, save_checkpoint)
 
@@ -116,6 +116,17 @@ class TestForward:
         assert set(out) == {"segmentation"}
         after = model.state_dict()
         assert all((after[k] == before[k]).all() for k in before)
+
+    def test_evaluating_restores_mode_after_error(self):
+        model = build_model(tiny_spec(), seed=0)
+        model.train(True)
+        with pytest.raises(RuntimeError):
+            with model.evaluating():
+                assert not model.training and not model.trunk.entry.training
+                assert not is_grad_enabled()
+                raise RuntimeError
+        assert model.training and model.trunk.entry.training
+        assert is_grad_enabled()
 
 
 class TestHeadConditioning:

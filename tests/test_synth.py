@@ -1,6 +1,8 @@
 """Synthetic scene generator: determinism, shape replay, class balance,
 and dataset round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -139,4 +141,23 @@ class TestDatasetIo:
     def test_manifest_without_entries_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"n_images": 1}')
         with pytest.raises(ValueError, match="manifest.json.*entries"):
+            load_dataset(tmp_path)
+
+    def test_entries_not_a_list_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"entries": {}}')
+        with pytest.raises(ValueError, match="manifest.json.*'entries' list"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("entries, bad", [
+        ([{}], 0),
+        ([3], 0),
+        ([{"image": "scene_0000.ppm"}], 0),
+        ([{"image": "scene_0000.ppm", "mask": "scene_0000.pgm"}, {"mask": "scene_0000.pgm"}], 1),
+        ([{"image": 1, "mask": "scene_0000.pgm"}], 0),
+        ([{"image": "scene_0000.ppm", "mask": "scene_0000.pgm", "tensor": None}], 0),
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, entries, bad):
+        write_dataset(generate(SceneSpec(size=64, n_images=1, seed=2)), tmp_path)
+        (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}))
+        with pytest.raises(ValueError, match=rf"manifest.json.*entry {bad}\b"):
             load_dataset(tmp_path)

@@ -221,6 +221,17 @@ class TestTrainConfig:
             TrainConfig(**kw)
 
 
+class TestBatchLoss:
+    def test_single_head_needs_only_the_onehot_target(self, rng):
+        from types import SimpleNamespace
+        recs = make_records(rng, 2)
+        bare = [SimpleNamespace(image=r.image, mask=r.mask, onehot=r.onehot) for r in recs]
+        loss, out = trainer_mod.batch_loss(tiny_model(), bare, "d1")
+        ref, _ = trainer_mod.batch_loss(tiny_model(), recs, "d1")
+        assert set(out.tasks()) == {"segmentation"}
+        assert loss.item() == ref.item()
+
+
 class TestEvaluateRecords:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
