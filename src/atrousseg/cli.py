@@ -68,7 +68,10 @@ def _build_dataset(cfg):
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    spec = cfg.data.scene_spec()
+    try:
+        spec = cfg.data.scene_spec()
+    except ValueError as exc:
+        raise _config_error(exc) from exc
     out = fileio.ensure_dir(Path(cfg.out_dir))
     synth.write_dataset(synth.generate(spec), out, spec)
     print(f"wrote {spec.n_images} scenes to {out}")

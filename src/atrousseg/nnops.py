@@ -1,13 +1,13 @@
 """Neural-network primitives: convolution, normalisation, pooling, resampling.
 
 All operations take and return :class:`~atrousseg.autodiff.Node` instances and
-register backward closures on the recorded graph.  Layout is NCHW throughout.
+register backward closures on the recorded graph.  Every tensor crosses the
+API as NCHW (weights as OIHW); conv2d alone computes channels-last inside.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .autodiff import Node, ShapeError, accumulate, as_node, make_node
@@ -49,12 +49,34 @@ def softmax_channel(x) -> Node:
     return make_node(out, (x,), backward)
 
 
+def _live_spans(k: int, dilation: int, stride: int, size: int) -> list:
+    """Per kernel index along one axis: the (input, output) slices where
+    output pixel o reads input pixel o*stride + i*dilation - before inside the
+    unpadded plane, or None when every read lands in the padding."""
+    before = (k - 1) * dilation // 2
+    last = -(-size // stride) - 1
+    spans = []
+    for i in range(k):
+        off = i * dilation - before
+        lo, hi = max(0, -(off // stride)), min(last, (size - 1 - off) // stride)
+        spans.append((slice(lo * stride + off, hi * stride + off + 1, stride),
+                      slice(lo, hi + 1)) if lo <= hi else None)
+    return spans
+
+
 def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     """2-D cross-correlation with "same" padding.
 
     Padding totals (k-1)*dilation per axis, split evenly with the extra
     pixel on the trailing side, so the output spatial size is
     ceil(H/stride) x ceil(W/stride) for stride in {1, 2}.
+
+    Inputs, outputs and gradients are NCHW with OIHW weights; inside, the
+    input is transposed once to channels-last and each kernel tap adds one
+    small matmul into the output pixels whose input pixel lies inside the
+    plane.  The padding is never built: a tap whose reads all land in it
+    (common for large dilations on small planes) is skipped, forward and
+    backward.
     """
     x, w = as_node(x), as_node(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -73,34 +95,37 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
         raise ValueError(f"conv2d dilation must be >= 1, got {dilation}")
 
     k = kh
-    total = (k - 1) * dilation
-    before, after = total // 2, total - total // 2
-    extent = (k - 1) * dilation + 1  # dilated kernel footprint
-    xpad = np.pad(x.value, ((0, 0), (0, 0), (before, after), (before, after)))
-    win = sliding_window_view(xpad, (extent, extent), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, ::dilation, ::dilation]
-    out = np.tensordot(win, w.value, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    ho, wo = out.shape[2], out.shape[3]
+    rows = _live_spans(k, dilation, stride, h)
+    cols = _live_spans(k, dilation, stride, wid)
+    # (i, j, input index, output index) of every live tap, on NHWC arrays
+    taps = [(i, j, (slice(None), r[0], c[0]), (slice(None), r[1], c[1]))
+            for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
+    xt = np.ascontiguousarray(x.value.transpose(0, 2, 3, 1))
+    wt = np.ascontiguousarray(w.value.transpose(2, 3, 1, 0))  # (k, k, cin, cout)
+    out = np.zeros((n, -(-h // stride), -(-wid // stride), cout),
+                   np.result_type(x.value, w.value))
+    for i, j, src, dst in taps:
+        out[dst] += xt[src] @ wt[i, j]
     if b is not None:
         b = as_node(b)
-        out += b.value[:, None, None]
+        out += b.value
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
     def backward(g):
+        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         if w.requires_grad:
-            accumulate(w, np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
+            gw = np.zeros(w.shape, np.result_type(g, xt))
+            for i, j, src, dst in taps:
+                gw[:, :, i, j] = gt[dst].reshape(-1, cout).T @ xt[src].reshape(-1, cin)
+            accumulate(w, gw)
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gxpad = np.zeros_like(xpad)
-            for i in range(k):
-                for j in range(k):
-                    tap = np.tensordot(g, w.value[:, :, i, j], axes=([1], [0]))
-                    gxpad[:, :,
-                          i * dilation: i * dilation + ho * stride: stride,
-                          j * dilation: j * dilation + wo * stride: stride,
-                          ] += tap.transpose(0, 3, 1, 2)
-            accumulate(x, gxpad[:, :, before: before + h, before: before + wid])
+            # x's dtype, even when g is wider (f64 head gradients on f32 trunks)
+            gxt = np.zeros_like(xt)
+            for i, j, src, dst in taps:
+                gxt[src] += gt[dst] @ wt[i, j].T
+            accumulate(x, np.ascontiguousarray(gxt.transpose(0, 3, 1, 2)))
 
     parents = (x, w) if b is None else (x, w, b)
     return make_node(out, parents, backward)

@@ -171,6 +171,15 @@ class TestMalformedInput:
         self.assert_one_data_error_line(
             ["derive-labels", "--data", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
 
+    def test_synth_rejected_scene_recipe_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["data"]["size"] = 32
+        cfg.write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error kind=config msg="size')
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):

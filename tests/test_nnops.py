@@ -4,7 +4,9 @@ differentiable tensor op."""
 import numpy as np
 import pytest
 
-from atrousseg.autodiff import ShapeError, parameter
+from numpy.lib.stride_tricks import sliding_window_view
+
+from atrousseg.autodiff import Node, ShapeError, parameter
 from atrousseg.nnops import (batch_norm, channel_slice, concat_channels,
                              conv2d, max_pool_grid, nearest_upsample, relu,
                              sigmoid, softmax_channel)
@@ -62,6 +64,97 @@ class TestConv2d:
         w = parameter(rng.normal(size=(1, 1, 3, 3)))
         with pytest.raises(ValueError):
             conv2d(x, w, stride=3)
+
+
+def im2col_conv2d(x, w, b, stride, dilation, g):
+    """Reference conv2d on plain arrays: explicit zero padding, a strided
+    sliding-window (im2col) view and tensordot.  Returns the output and the
+    gradients of x, w and b for the upstream gradient g."""
+    h, wid = x.shape[2:]
+    k = w.shape[2]
+    total = (k - 1) * dilation
+    before, after = total // 2, total - total // 2
+    extent = total + 1
+    xpad = np.pad(x, ((0, 0), (0, 0), (before, after), (before, after)))
+    win = sliding_window_view(xpad, (extent, extent), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride, ::dilation, ::dilation]
+    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+    out = out + b[:, None, None]
+    ho, wo = out.shape[2], out.shape[3]
+    gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    gxpad = np.zeros_like(xpad)
+    for i in range(k):
+        for j in range(k):
+            tap = np.tensordot(g, w[:, :, i, j], axes=([1], [0]))
+            gxpad[:, :, i * dilation: i * dilation + ho * stride: stride,
+                  j * dilation: j * dilation + wo * stride: stride] += tap.transpose(0, 3, 1, 2)
+    gx = gxpad[:, :, before: before + h, before: before + wid]
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def upstream(value):
+    """A non-leaf node whose .grad is exactly what its consumer passes back."""
+    return Node(value, requires_grad=True, backward=lambda g: None)
+
+
+def backprop(out, g):
+    """Backpropagate the upstream gradient g (exactly, in g's dtype) into out."""
+    (out * g).sum().backward()
+
+
+class TestConv2dReference:
+    """The per-tap kernel against the im2col reference, with tolerances fixed
+    by the dtype (relative to the largest magnitude)."""
+
+    TOL = {np.float64: 1e-10, np.float32: 1e-5}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(2, 3, 9, 7), (1, 4, 8, 5)])
+    @pytest.mark.parametrize("dilation", [1, 2, 3, 15, 31])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_im2col(self, rng, k, stride, dilation, shape, dtype):
+        x = rng.normal(size=shape).astype(dtype)
+        w = rng.normal(size=(5, shape[1], k, k)).astype(dtype)
+        b = rng.normal(size=5).astype(dtype)
+        xn, wn, bn = upstream(x), upstream(w), upstream(b)
+        out = conv2d(xn, wn, bn, stride=stride, dilation=dilation)
+        g = rng.normal(size=out.shape).astype(dtype)
+        backprop(out, g)
+        ref = im2col_conv2d(x, w, b, stride, dilation, g)
+        for name, got, want in zip(("out", "gx", "gw", "gb"),
+                                   (out.value, xn.grad, wn.grad, bn.grad), ref):
+            assert got.shape == want.shape and got.dtype == dtype, name
+            assert rel_err(got, want) <= self.TOL[dtype], name
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dilation", [9, 15, 31])
+    def test_dilation_past_the_plane_keeps_only_the_centre_tap(self, rng, stride, dilation):
+        x = rng.normal(size=(2, 3, 9, 7))
+        w = rng.normal(size=(4, 3, 3, 3))
+        g = rng.normal(size=(2, 4, -(-9 // stride), -(-7 // stride)))
+        grads = []
+        for kernel in (w, w[:, :, 1:2, 1:2]):
+            xn, wn = upstream(x), upstream(kernel)
+            out = conv2d(xn, wn, stride=stride, dilation=dilation)
+            backprop(out, g)
+            grads.append((out.value, xn.grad, wn.grad))
+        (out3, gx3, gw3), (out1, gx1, gw1) = grads
+        assert rel_err(out3, out1) <= 1e-12 and rel_err(gx3, gx1) <= 1e-12
+        assert rel_err(gw3[:, :, 1:2, 1:2], gw1) <= 1e-12
+        gw3[:, :, 1, 1] = 0.0
+        assert not gw3.any()
+
+    def test_dtype_and_layout_with_f64_upstream(self, rng):
+        """The cmtsk heads feed f64 gradients into f32 convolutions: the input
+        gradient stays f32 and the weight gradient widens, as tensordot did."""
+        x = upstream(rng.normal(size=(2, 3, 9, 7)).astype(np.float32))
+        w = upstream(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        out = conv2d(x, w, dilation=3)
+        assert out.dtype == np.float32 and out.value.flags.c_contiguous
+        backprop(out, rng.normal(size=out.shape))  # f64
+        assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
+        assert w.grad.dtype == np.float64 and w.grad.flags.c_contiguous
 
 
 class TestBatchNorm:
