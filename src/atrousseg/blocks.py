@@ -19,7 +19,6 @@ class BlockConfig:
     filters: int
     kernel: int = 3
     dilations: tuple[int, ...] = (1,)
-    stride: int = 1
 
     def __post_init__(self):
         if self.filters < 1:
@@ -33,14 +32,12 @@ class BlockConfig:
 
 
 class Conv2DN(Module):
-    """Convolution (no bias) followed by batch normalisation."""
+    """Stride-1 undilated convolution (no bias) followed by batch normalisation."""
 
-    def __init__(self, in_channels: int, filters: int, kernel: int = 1,
-                 stride: int = 1, dilation: int = 1,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, in_channels: int, filters: int, kernel: int = 1, *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        self.conv = Conv2d(in_channels, filters, kernel, stride=stride,
-                           dilation=dilation, bias=False, rng=rng, dtype=dtype)
+        self.conv = Conv2d(in_channels, filters, kernel, bias=False, rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(filters, dtype=dtype)
 
     def forward(self, x) -> Node:
@@ -70,8 +67,7 @@ class ResBlockA(Module):
     dilation order.
     """
 
-    def __init__(self, cfg: BlockConfig, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, cfg: BlockConfig, *, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.cfg = cfg
         self.branches = ModuleList(
@@ -107,8 +103,7 @@ class PSPPooling(Module):
     """
 
     def __init__(self, channels: int, scales: tuple[int, ...] = (1, 2, 4, 8),
-                 adaptive: bool = False, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+                 adaptive: bool = False, *, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         if channels < len(scales):
             raise ValueError(
@@ -134,8 +129,8 @@ class Combine(Module):
     """Fuse a decoder feature map with a skip connection (Table-2 style):
     ReLU on the first input, channel concat, 1x1 normed conv to ``filters``."""
 
-    def __init__(self, in_channels_a: int, in_channels_b: int, filters: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, in_channels_a: int, in_channels_b: int, filters: int, *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.fuse = Conv2DN(in_channels_a + in_channels_b, filters, kernel=1,
                             rng=rng, dtype=dtype)
@@ -150,8 +145,8 @@ class Combine(Module):
 class UpSampleBlock(Module):
     """Nearest x2 upsampling followed by a 1x1 normed convolution."""
 
-    def __init__(self, in_channels: int, filters: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, in_channels: int, filters: int, *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.conv = Conv2DN(in_channels, filters, kernel=1, rng=rng, dtype=dtype)
 

@@ -121,6 +121,10 @@ def cmd_train(args) -> int:
 
 def cmd_lr_find(args) -> int:
     cfg = _load_run_config(args)
+    try:
+        pipeline.check_model_fits_data(cfg)
+    except ValueError as exc:
+        raise _config_error(exc) from exc
     records = _build_dataset(cfg)
     train_recs, _, _ = pipeline.split_records(records, cfg.data.split, cfg.data.seed)
     if not train_recs:

@@ -32,6 +32,8 @@ class DataConfig:
             raise ValueError(f"data.kind must be 'synthetic' or 'directory', got {self.kind!r}")
         if self.kind == "directory" and not self.path:
             raise ValueError("data.kind 'directory' requires data.path")
+        if self.kind == "synthetic":
+            self.scene_spec()  # SceneSpec owns the recipe rules
 
     def scene_spec(self) -> SceneSpec:
         """The synthetic-scene recipe of this section."""

@@ -43,20 +43,32 @@ def read_nct(path) -> np.ndarray:
     return data.reshape(shape).copy()
 
 
-def _read_netpbm_header(fh, magic: bytes):
-    if fh.read(2) != magic:
-        raise ValueError(f"not a {magic.decode()} file")
-    fields = []
-    while len(fields) < 3:
-        line = fh.readline()
-        if not line:
-            raise ValueError("truncated netpbm header")
-        line = line.split(b"#", 1)[0]
-        fields.extend(int(tok) for tok in line.split())
-    width, height, maxval = fields[:3]
-    if maxval > 255:
-        raise ValueError(f"only 8-bit netpbm supported, maxval={maxval}")
-    return width, height
+def _write_netpbm(path, magic: bytes, arr) -> None:
+    arr = arr.astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n255\n" % (magic, arr.shape[1], arr.shape[0]))
+        fh.write(arr.tobytes())
+
+
+def _read_netpbm(path, magic: bytes, depth: int) -> np.ndarray:
+    """Binary PGM (P5, depth 1, shape (H, W)) or PPM (P6, depth 3, (H, W, 3))."""
+    with open(path, "rb") as fh:
+        if fh.read(2) != magic:
+            raise ValueError(f"not a {magic.decode()} file")
+        fields = []
+        while len(fields) < 3:
+            line = fh.readline()
+            if not line:
+                raise ValueError("truncated netpbm header")
+            line = line.split(b"#", 1)[0]
+            fields.extend(int(tok) for tok in line.split())
+        width, height, maxval = fields[:3]
+        if maxval > 255:
+            raise ValueError(f"only 8-bit netpbm supported, maxval={maxval}")
+        name = "PGM" if depth == 1 else "PPM"
+        data = _read_exact(fh, width * height * depth, path, f"{name} payload")
+    shape = (height, width) if depth == 1 else (height, width, depth)
+    return np.frombuffer(data, dtype=np.uint8).reshape(shape).copy()
 
 
 def write_pgm(path, plane) -> None:
@@ -64,19 +76,11 @@ def write_pgm(path, plane) -> None:
     arr = np.asarray(plane)
     if arr.ndim != 2:
         raise ValueError(f"PGM wants a 2-D plane, got shape {arr.shape}")
-    arr = arr.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+    _write_netpbm(path, b"P5", arr)
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        width, height = _read_netpbm_header(fh, b"P5")
-        data = np.frombuffer(fh.read(width * height), dtype=np.uint8)
-    if data.size != width * height:
-        raise ValueError(f"{path}: truncated PGM payload")
-    return data.reshape(height, width).copy()
+    return _read_netpbm(path, b"P5", 1)
 
 
 def write_ppm(path, image) -> None:
@@ -84,19 +88,11 @@ def write_ppm(path, image) -> None:
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"PPM wants (H, W, 3), got shape {arr.shape}")
-    arr = arr.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+    _write_netpbm(path, b"P6", arr)
 
 
 def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        width, height = _read_netpbm_header(fh, b"P6")
-        data = np.frombuffer(fh.read(width * height * 3), dtype=np.uint8)
-    if data.size != width * height * 3:
-        raise ValueError(f"{path}: truncated PPM payload")
-    return data.reshape(height, width, 3).copy()
+    return _read_netpbm(path, b"P6", 3)
 
 
 def read_image(path) -> np.ndarray:

@@ -119,7 +119,7 @@ def volume_weights(onehot) -> np.ndarray:
 
 
 def multitask_loss(out, targets: dict[str, np.ndarray],
-                   loss_id: str = "tanimoto-complement", eps: float = EPS) -> Node:
+                   loss_id: str = "tanimoto-complement") -> Node:
     """Unweighted sum of (1 - similarity) over the enabled task heads.
 
     Segmentation and boundary use per-batch volume weights; distance and
@@ -132,7 +132,7 @@ def multitask_loss(out, targets: dict[str, np.ndarray],
             raise ValueError(f"multitask_loss: missing target '{name}' for enabled head")
         tgt = np.asarray(targets[name])
         weights = volume_weights(tgt) if name in ("segmentation", "boundary") else None
-        term = 1.0 - base(pred, tgt, weights=weights, eps=eps)
+        term = 1.0 - base(pred, tgt, weights=weights)
         total = term if total is None else total + term
     return total
 
@@ -197,8 +197,7 @@ class LossField:
     laplacian: np.ndarray
 
 
-def field_sample(loss_id: str, l=(1.0, 0.0), grid_n: int = 101,
-                 eps: float = EPS) -> LossField:
+def field_sample(loss_id: str, l=(1.0, 0.0), grid_n: int = 101) -> LossField:
     """Sample value, gradient and Laplacian of a similarity on [0,1]^2.
 
     The grid is the grid_n x grid_n lattice over the closed square.  The
@@ -212,11 +211,11 @@ def field_sample(loss_id: str, l=(1.0, 0.0), grid_n: int = 101,
     h = grid[1] - grid[0]
     ext = np.concatenate(([-h], grid, [1.0 + h]))
     pxe, pye = np.meshgrid(ext, ext, indexing="ij")
-    ve, _, _ = _value_grad(loss_id, pxe, pye, lx, ly, eps)
+    ve, _, _ = _value_grad(loss_id, pxe, pye, lx, ly, EPS)
     lap = (ve[2:, 1:-1] + ve[:-2, 1:-1] + ve[1:-1, 2:] + ve[1:-1, :-2]
            - 4.0 * ve[1:-1, 1:-1]) / (h * h)
     px, py = pxe[1:-1, 1:-1], pye[1:-1, 1:-1]
-    value, gx, gy = _value_grad(loss_id, px, py, lx, ly, eps)
+    value, gx, gy = _value_grad(loss_id, px, py, lx, ly, EPS)
     gx = _box_project(gx, px)
     gy = _box_project(gy, py)
     return LossField(loss_id, (lx, ly), px, py, value, gx, gy, lap)

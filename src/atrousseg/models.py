@@ -85,9 +85,9 @@ class MultiHeadOutput:
 class _MiddleV1(Module):
     # 2x2 max pooling broadcast back over each pooled block, concatenated with
     # the input and fused by a biased 1x1 convolution.
-    def __init__(self, channels, rng, dtype):
+    def __init__(self, channels, rng):
         super().__init__()
-        self.proj = Conv2d(2 * channels, channels, 1, bias=True, rng=rng, dtype=dtype)
+        self.proj = Conv2d(2 * channels, channels, 1, bias=True, rng=rng)
 
     def forward(self, x) -> Node:
         n, c, h, w = x.shape
@@ -100,39 +100,39 @@ class _MiddleV1(Module):
 
 
 class _Trunk(Module):
-    def __init__(self, spec: ModelSpec, rng, dtype):
+    def __init__(self, spec: ModelSpec, rng):
         super().__init__()
         f = spec.initial_filters
         dils = _DILATIONS["d6" if spec.depth == "d6" else "d7"]
         levels = spec.n_levels
         widths = [f * 2 ** i for i in range(levels)]
 
-        self.entry = Conv2d(spec.input_channels, f, 1, bias=True, rng=rng, dtype=dtype)
+        self.entry = Conv2d(spec.input_channels, f, 1, bias=True, rng=rng)
         self.encoder = ModuleList(
-            ResBlockA(BlockConfig(widths[i], 3, dils[i]), rng=rng, dtype=dtype)
+            ResBlockA(BlockConfig(widths[i], 3, dils[i]), rng=rng)
             for i in range(levels))
         self.down = ModuleList(
-            Conv2d(widths[i], widths[i + 1], 1, stride=2, bias=True, rng=rng, dtype=dtype)
+            Conv2d(widths[i], widths[i + 1], 1, stride=2, bias=True, rng=rng)
             for i in range(levels - 1))
 
         deepest = widths[-1]
         if spec.depth == "d6":
-            self.middle = PSPPooling(deepest, PSP_FULL, adaptive=True, rng=rng, dtype=dtype)
+            self.middle = PSPPooling(deepest, PSP_FULL, adaptive=True, rng=rng)
         elif spec.depth == "d7v1":
-            self.middle = _MiddleV1(deepest, rng, dtype)
+            self.middle = _MiddleV1(deepest, rng)
         else:
-            self.middle = PSPPooling(deepest, PSP_REDUCED, adaptive=True, rng=rng, dtype=dtype)
+            self.middle = PSPPooling(deepest, PSP_REDUCED, adaptive=True, rng=rng)
 
         self.up = ModuleList(
-            UpSampleBlock(widths[i + 1], widths[i], rng=rng, dtype=dtype)
+            UpSampleBlock(widths[i + 1], widths[i], rng=rng)
             for i in reversed(range(levels - 1)))
         self.merge = ModuleList(
-            Combine(widths[i], widths[i], widths[i], rng=rng, dtype=dtype)
+            Combine(widths[i], widths[i], widths[i], rng=rng)
             for i in reversed(range(levels - 1)))
         self.decoder = ModuleList(
-            ResBlockA(BlockConfig(widths[i], 3, dils[i]), rng=rng, dtype=dtype)
+            ResBlockA(BlockConfig(widths[i], 3, dils[i]), rng=rng)
             for i in reversed(range(levels - 1)))
-        self.final = Combine(f, f, f, rng=rng, dtype=dtype)
+        self.final = Combine(f, f, f, rng=rng)
 
     def forward(self, x) -> Node:
         e0 = self.entry(x)
@@ -151,11 +151,11 @@ class _Trunk(Module):
 
 class _RegressionBranch(Module):
     # Two normed 3x3 convolutions with ReLU, then biased 1x1 logits.
-    def __init__(self, channels, out_channels, rng, dtype):
+    def __init__(self, channels, out_channels, rng):
         super().__init__()
-        self.c1 = Conv2DN(channels, channels, kernel=3, rng=rng, dtype=dtype)
-        self.c2 = Conv2DN(channels, channels, kernel=3, rng=rng, dtype=dtype)
-        self.logit = Conv2d(channels, out_channels, 1, bias=True, rng=rng, dtype=dtype)
+        self.c1 = Conv2DN(channels, channels, kernel=3, rng=rng)
+        self.c2 = Conv2DN(channels, channels, kernel=3, rng=rng)
+        self.logit = Conv2d(channels, out_channels, 1, bias=True, rng=rng)
 
     def forward(self, x) -> Node:
         h = nnops.relu(self.c1(x))
@@ -164,10 +164,10 @@ class _RegressionBranch(Module):
 
 
 class _SingleHead(Module):
-    def __init__(self, channels, n_classes, rng, dtype):
+    def __init__(self, channels, n_classes, rng):
         super().__init__()
-        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng, dtype=dtype)
-        self.logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng, dtype=dtype)
+        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng)
+        self.logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng)
 
     def forward(self, x) -> MultiHeadOutput:
         return MultiHeadOutput(
@@ -179,13 +179,13 @@ class _MtskHead(Module):
     segmentation and boundary share one pyramid-pooling stage, distance and
     color consume the trunk features directly."""
 
-    def __init__(self, channels, n_classes, rng, dtype):
+    def __init__(self, channels, n_classes, rng):
         super().__init__()
-        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng, dtype=dtype)
-        self.seg_logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng, dtype=dtype)
-        self.bound_logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng, dtype=dtype)
-        self.distance = _RegressionBranch(channels, n_classes, rng, dtype)
-        self.color = _RegressionBranch(channels, 3, rng, dtype)
+        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng)
+        self.seg_logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng)
+        self.bound_logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng)
+        self.distance = _RegressionBranch(channels, n_classes, rng)
+        self.color = _RegressionBranch(channels, 3, rng)
 
     def forward(self, x) -> MultiHeadOutput:
         pooled = self.psp(x)
@@ -200,14 +200,14 @@ class _CmtskHead(Module):
     """Conditioned multitasking: the distance prediction feeds the boundary
     logits, and both feed the segmentation logits."""
 
-    def __init__(self, channels, n_classes, rng, dtype):
+    def __init__(self, channels, n_classes, rng):
         super().__init__()
         k = n_classes
-        self.distance = _RegressionBranch(channels, k, rng, dtype)
-        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng, dtype=dtype)
-        self.bound_logit = Conv2d(channels + k, k, 1, bias=True, rng=rng, dtype=dtype)
-        self.seg_logit = Conv2d(channels + 2 * k, k, 1, bias=True, rng=rng, dtype=dtype)
-        self.color = _RegressionBranch(channels, 3, rng, dtype)
+        self.distance = _RegressionBranch(channels, k, rng)
+        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng)
+        self.bound_logit = Conv2d(channels + k, k, 1, bias=True, rng=rng)
+        self.seg_logit = Conv2d(channels + 2 * k, k, 1, bias=True, rng=rng)
+        self.color = _RegressionBranch(channels, 3, rng)
 
     def forward(self, x) -> MultiHeadOutput:
         dist = nnops.sigmoid(self.distance(x))
@@ -223,13 +223,17 @@ _HEAD_CLASSES = {"single": _SingleHead, "mtsk": _MtskHead, "cmtsk": _CmtskHead}
 
 
 class SegmentationModel(Module):
-    def __init__(self, spec: ModelSpec, seed: int = 0, dtype=np.float32):
+    """Trunk plus head for ``spec``, initialised from ``seed``.  Dtype policy:
+    every parameter and buffer is float32; only the building blocks take a
+    ``dtype``, so tests can build float64 blocks for gradient checks."""
+
+    def __init__(self, spec: ModelSpec, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.spec = spec
-        self.trunk = _Trunk(spec, rng, dtype)
+        self.trunk = _Trunk(spec, rng)
         self.head = _HEAD_CLASSES[spec.head](
-            spec.initial_filters, spec.n_classes, rng, dtype)
+            spec.initial_filters, spec.n_classes, rng)
 
     def forward(self, x) -> MultiHeadOutput:
         x = as_node(x)
@@ -252,8 +256,9 @@ class SegmentationModel(Module):
             return self.forward(x).arrays()
 
 
-def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> SegmentationModel:
-    return SegmentationModel(spec, seed=seed, dtype=dtype)
+def build_model(spec: ModelSpec, seed: int = 0) -> SegmentationModel:
+    """A float32 SegmentationModel; see its docstring for the dtype policy."""
+    return SegmentationModel(spec, seed=seed)
 
 
 def param_count(module: Module) -> int:

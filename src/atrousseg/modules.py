@@ -98,32 +98,29 @@ class Module:
 class ModuleList(Module):
     def __init__(self, mods=()):
         super().__init__()
-        self._list: list[Module] = []
         for mod in mods:
             self.append(mod)
 
     def append(self, mod: Module) -> None:
-        self._modules[str(len(self._list))] = mod
-        self._list.append(mod)
+        self._modules[str(len(self._modules))] = mod
 
     def __iter__(self):
-        return iter(self._list)
+        return iter(self._modules.values())
 
     def __len__(self):
-        return len(self._list)
+        return len(self._modules)
 
     def __getitem__(self, i):
-        return self._list[i]
+        return list(self._modules.values())[i]
 
 
 class Conv2d(Module):
     """Convolution layer with He-normal weight initialisation."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, dilation: int = 1, bias: bool = True,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+                 stride: int = 1, dilation: int = 1, bias: bool = True, *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         std = np.sqrt(2.0 / (in_channels * kernel * kernel))
         shape = (out_channels, in_channels, kernel, kernel)
         self.weight = parameter(rng.normal(0.0, std, shape), dtype=dtype)
@@ -137,17 +134,13 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5,
-                 dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.gamma = parameter(np.ones(channels), dtype=dtype)
         self.beta = parameter(np.zeros(channels), dtype=dtype)
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x) -> Node:
         return nnops.batch_norm(x, self.gamma, self.beta,
-                                self.running_mean, self.running_var,
-                                self.training, self.momentum, self.eps)
+                                self.running_mean, self.running_var, self.training)

@@ -30,12 +30,24 @@ def split_records(records, ratios=(0.8, 0.1, 0.1), seed: int = 0):
     return tuple([records[r.tile_id] for r in part] for part in parts)
 
 
-def run_training(cfg: RunConfig, out_dir=None):
+def check_model_fits_data(cfg: RunConfig) -> None:
+    """Model and data must agree on classes, and on channels for synthetic data."""
+    pairs = [("n_classes", "n_classes")]
+    if cfg.data.kind == "synthetic":
+        pairs.append(("input_channels", "channels"))
+    for model_key, data_key in pairs:
+        m, d = getattr(cfg.model, model_key), getattr(cfg.data, data_key)
+        if m != d:
+            raise ValueError(f"model.{model_key} ({m}) must equal data.{data_key} ({d})")
+
+
+def run_training(cfg: RunConfig):
     """Train per config; writes snapshot, history CSV, checkpoint, metrics.
 
     Returns (model, TrainResult, dict of artifact paths).
     """
-    out = fileio.ensure_dir(out_dir if out_dir is not None else cfg.out_dir)
+    check_model_fits_data(cfg)
+    out = fileio.ensure_dir(cfg.out_dir)
     write_snapshot(cfg, out / "config.json")
 
     records = build_records(cfg.data)

@@ -11,7 +11,7 @@ one class, standing in for an elevation raster.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -147,12 +147,7 @@ def write_dataset(scenes: list[Scene], out_dir, spec: SceneSpec | None = None) -
         entries.append(entry)
     manifest = {"n_images": len(scenes), "entries": entries}
     if spec is not None:
-        manifest["spec"] = {
-            "size": spec.size, "n_classes": spec.n_classes,
-            "n_images": spec.n_images, "channels": spec.channels,
-            "shapes_per_class": spec.shapes_per_class, "seed": spec.seed,
-            "max_extent": {str(k): v for k, v in spec.max_extent.items()},
-        }
+        manifest["spec"] = asdict(spec)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 

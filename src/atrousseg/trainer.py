@@ -16,14 +16,12 @@ from .losses import LOSS_IDS, multitask_loss
 
 
 class Adam(object):
-    """Bias-corrected Adam over a list of parameter Nodes."""
+    """Bias-corrected Adam over a list of parameter Nodes (epsilon 1e-8)."""
 
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999)):
         self.params = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -45,7 +43,7 @@ class Adam(object):
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
 
 
 class Sgd(object):
@@ -97,8 +95,7 @@ class LrFinderResult:
 
 
 def lr_finder(loss_fn, params, batches, lr_lo: float = 1e-6, lr_hi: float = 1.0,
-              steps: int = 100, optimizer: str = "adam",
-              smoothing: float = 0.98) -> LrFinderResult:
+              steps: int = 100, optimizer: str = "adam") -> LrFinderResult:
     """Sweep the learning rate geometrically and report the steepest descent.
 
     One optimizer step per LR value, cycling through ``batches``; the loss
@@ -116,7 +113,7 @@ def lr_finder(loss_fn, params, batches, lr_lo: float = 1e-6, lr_hi: float = 1.0,
     ratio = (lr_hi / lr_lo) ** (1.0 / (steps - 1))
 
     lrs, losses, smoothed = [], [], []
-    ema, best = 0.0, np.inf
+    ema, best, smoothing = 0.0, np.inf, 0.98
     try:
         for t in range(steps):
             opt.lr = lr_lo * ratio ** t

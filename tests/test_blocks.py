@@ -16,7 +16,7 @@ def make_input(rng, shape):
 class TestBlockConfig:
     def test_valid(self):
         cfg = BlockConfig(filters=8, dilations=(1, 3, 15))
-        assert cfg.kernel == 3 and cfg.stride == 1
+        assert cfg.kernel == 3
 
     @pytest.mark.parametrize("dilations", [(), (2, 3), (1, 3, 3), (1, 5, 3)])
     def test_bad_dilations(self, dilations):

@@ -171,14 +171,38 @@ class TestMalformedInput:
         self.assert_one_data_error_line(
             ["derive-labels", "--data", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
 
-    def test_synth_rejected_scene_recipe_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["synth", "train", "lr-find"])
+    def test_synth_rejected_scene_recipe_is_config_error(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
         doc = json.loads(cfg.read_text())
         doc["data"]["size"] = 32
         cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error kind=config msg="size')
+
+    def test_synth_checks_recipe_of_directory_config(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"entries": []}')
+        cfg = write_config(tmp_path, data={"kind": "directory", "path": str(tmp_path),
+                                           "size": 32})
         assert main(["synth", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith('error kind=config msg="size')
+
+    @pytest.mark.parametrize("command", ["train", "lr-find"])
+    @pytest.mark.parametrize("model_key, data_key", [("n_classes", "n_classes"),
+                                                     ("input_channels", "channels")])
+    def test_model_data_mismatch_is_config_error(self, tmp_path, capsys, command,
+                                                 model_key, data_key):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["model"][model_key] = 4  # the data section has 3 classes and 3 channels
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error kind=config msg="')
+        assert f"model.{model_key}" in err[0] and f"data.{data_key}" in err[0]
+        assert not (tmp_path / "run" / "config.json").exists()
 
 
 @pytest.fixture(scope="module")
