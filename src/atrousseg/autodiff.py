@@ -5,7 +5,9 @@ buffer and a closure that scatters an upstream gradient to the node's
 parents.  Calling :meth:`Node.backward` on a scalar node walks the graph
 once in reverse topological order, accumulating gradients additively, so
 values reused in several places (diamond graphs) receive the sum of all
-path contributions.
+path contributions.  The walk consumes the graph: each node drops its
+closure and parents once they have run, so activations are freed as the
+walk goes and there is one backward per forward.
 
 Only the arithmetic needed by the segmentation stack lives here; the
 convolution / pooling / normalisation primitives are in ``nnops``.
@@ -40,6 +42,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def _consumed(g):
+    """Closure left on a node whose graph a backward walk consumed; the walk
+    rejects such nodes in ``_toposort``, before any closure runs."""
 
 
 class Node:
@@ -90,15 +97,25 @@ class Node:
         return Node(self.value)
 
     def backward(self) -> None:
-        """Backpropagate from a scalar node through the recorded graph."""
+        """Backpropagate from a scalar node through the recorded graph.
+
+        The graph is consumed as the walk goes: once a node's closure has
+        run, the node drops it and its parents, so whatever only the graph
+        held is freed.  Nodes keep their ``.grad``, and leaf parameters are
+        never consumed.  There is one backward per forward: a walk that
+        reaches a consumed node raises before it changes any gradient.
+        """
         if self.value.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.shape}")
         order = _toposort(self)
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._backward, node._parents = _consumed, ()
 
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):
@@ -156,6 +173,10 @@ def _toposort(root: Node) -> list[Node]:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _consumed:
+            raise RuntimeError(
+                "backward() reached a graph node that an earlier backward() "
+                "consumed; run the forward pass again (one backward per forward)")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:

@@ -126,6 +126,10 @@ def cmd_lr_find(args) -> int:
     except ValueError as exc:
         raise _config_error(exc) from exc
     records = _build_dataset(cfg)
+    try:
+        pipeline.check_model_fits_records(cfg, records)
+    except ValueError as exc:
+        raise _config_error(exc) from exc
     train_recs, _, _ = pipeline.split_records(records, cfg.data.split, cfg.data.seed)
     if not train_recs:
         raise _data_error("no training records after split")

@@ -11,6 +11,9 @@ one more encoder/decoder level; its middle is either a 2x2-max-pool fusion
 from __future__ import annotations
 
 import json
+import os
+import secrets
+import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -267,15 +270,31 @@ def param_count(module: Module) -> int:
 
 
 def save_checkpoint(model: SegmentationModel, out_dir) -> Path:
-    """Write every parameter/buffer as an NCT1 tensor plus a JSON manifest."""
-    out = fileio.ensure_dir(out_dir)
-    tensors = {}
-    for name, arr in model.state_dict().items():
-        fname = name + ".nct"
-        fileio.write_nct(out / fname, arr)
-        tensors[name] = fname
-    manifest = {"spec": asdict(model.spec), "format": "nct1", "tensors": tensors}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    """Write every parameter/buffer as an NCT1 tensor plus a JSON manifest.
+
+    The files go into a sibling temporary directory that is then renamed to
+    ``out_dir``, replacing any directory there as a whole.  A write that fails
+    part way leaves either no checkpoint or the previous complete one.
+    """
+    out = Path(out_dir)
+    tmp = fileio.ensure_dir(out.parent) / f".{out.name}.{secrets.token_hex(4)}"
+    tmp.mkdir()  # unlike mkdtemp, keeps the umask's permissions
+    try:
+        tensors = {}
+        for name, arr in model.state_dict().items():
+            fname = name + ".nct"
+            fileio.write_nct(tmp / fname, arr)
+            tensors[name] = fname
+        manifest = {"spec": asdict(model.spec), "format": "nct1", "tensors": tensors}
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        old = tmp.with_name(tmp.name + ".old")
+        if out.is_dir():
+            os.replace(out, old)
+        os.replace(tmp, out)
+        shutil.rmtree(old, ignore_errors=True)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return out
 
 

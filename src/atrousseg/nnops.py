@@ -76,7 +76,8 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     small matmul into the output pixels whose input pixel lies inside the
     plane.  The padding is never built: a tap whose reads all land in it
     (common for large dilations on small planes) is skipped, forward and
-    backward.
+    backward.  Backward recomputes the channels-last input ``xt`` from the
+    input node's NCHW value instead of keeping a second copy alive.
     """
     x, w = as_node(x), as_node(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -100,7 +101,11 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     # (i, j, input index, output index) of every live tap, on NHWC arrays
     taps = [(i, j, (slice(None), r[0], c[0]), (slice(None), r[1], c[1]))
             for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
-    xt = np.ascontiguousarray(x.value.transpose(0, 2, 3, 1))
+
+    def channels_last():
+        return np.ascontiguousarray(x.value.transpose(0, 2, 3, 1))
+
+    xt = channels_last()
     wt = np.ascontiguousarray(w.value.transpose(2, 3, 1, 0))  # (k, k, cin, cout)
     out = np.zeros((n, -(-h // stride), -(-wid // stride), cout),
                    np.result_type(x.value, w.value))
@@ -112,6 +117,7 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
     def backward(g):
+        xt = channels_last()
         gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         if w.requires_grad:
             gw = np.zeros(w.shape, np.result_type(g, xt))
@@ -137,7 +143,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
 
     In training mode, batch statistics normalise the input and the running
     buffers are updated in place as momentum*old + (1-momentum)*batch.
-    Eval mode normalises with the running buffers.
+    Eval mode normalises with the running buffers.  Backward recomputes the
+    normalised input ``xhat`` from the input node's value with the forward's
+    expression instead of keeping it alive.
     """
     x, gamma, beta = as_node(x), as_node(gamma), as_node(beta)
     if x.ndim != 4:
@@ -157,14 +165,20 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         running_var *= momentum
         running_var += (1.0 - momentum) * var
     else:
-        mean = running_mean.astype(x.dtype, copy=False)
+        # a copy: backward recomputes xhat from it, and a train-mode call
+        # made before that backward updates running_mean in place
+        mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype, copy=False)
 
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mean[:, None, None]) * invstd[:, None, None]
-    out = gamma.value[:, None, None] * xhat + beta.value[:, None, None]
+
+    def normalised():
+        return (x.value - mean[:, None, None]) * invstd[:, None, None]
+
+    out = gamma.value[:, None, None] * normalised() + beta.value[:, None, None]
 
     def backward(g):
+        xhat = normalised()
         if gamma.requires_grad:
             accumulate(gamma, (g * xhat).sum(axis=axes))
         if beta.requires_grad:

@@ -41,16 +41,28 @@ def check_model_fits_data(cfg: RunConfig) -> None:
             raise ValueError(f"model.{model_key} ({m}) must equal data.{data_key} ({d})")
 
 
+def check_model_fits_records(cfg: RunConfig, records) -> None:
+    """Every loaded image must have the model's input channels; directory data
+    shows its channel count only once it is loaded."""
+    want = cfg.model.input_channels
+    for got in sorted({r.image.shape[0] for r in records}):
+        if got != want:
+            raise ValueError(f"model.input_channels ({want}) must equal the channel "
+                             f"count of the data's images ({got})")
+
+
 def run_training(cfg: RunConfig):
     """Train per config; writes snapshot, history CSV, checkpoint, metrics.
 
+    Nothing is written until the config and the loaded data pass their checks.
     Returns (model, TrainResult, dict of artifact paths).
     """
     check_model_fits_data(cfg)
+    records = build_records(cfg.data)
+    check_model_fits_records(cfg, records)
     out = fileio.ensure_dir(cfg.out_dir)
     write_snapshot(cfg, out / "config.json")
 
-    records = build_records(cfg.data)
     train_recs, val_recs, _ = split_records(records, cfg.data.split, cfg.data.seed)
     if not train_recs or not val_recs:
         raise ValueError("split produced an empty train or val set; "
@@ -61,8 +73,7 @@ def run_training(cfg: RunConfig):
     result = train(model, train_recs, val_recs, train_cfg)
 
     history_to_csv(result.history, out / "history.csv")
-    ckpt_dir = fileio.ensure_dir(out / "checkpoint")
-    save_checkpoint(model, ckpt_dir)
+    ckpt_dir = save_checkpoint(model, out / "checkpoint")
     val_loss, val_mcc = evaluate_records(model, val_recs, train_cfg.loss_id,
                                          train_cfg.micro_batch, cfg.model.n_classes)
     summary = {

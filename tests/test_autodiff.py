@@ -1,6 +1,8 @@
 """Graph mechanics of the reverse-mode core: accumulation, broadcasting,
 grad toggling, and the elementwise/reduction op gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,57 @@ class TestGraphMechanics:
         assert as_node(n) is n
         m = as_node(np.zeros(2))
         assert isinstance(m, Node) and not m.requires_grad
+
+
+class TestConsumedGraph:
+    """Backward consumes the graph: one backward per forward."""
+
+    def test_second_backward_on_same_root_raises(self):
+        x = parameter(np.array([1.0, -2.0]))
+        loss = (x * x).sum()
+        loss.backward()
+        before = x.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        assert np.array_equal(x.grad, before)
+
+    def test_second_loss_on_consumed_subgraph_raises(self):
+        x = parameter(np.array([1.0, -2.0]))
+        out = x * 3.0
+        first, second = out.sum(), (out * out).sum()
+        first.backward()
+        x_grad, out_grad = x.grad.copy(), out.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed"):
+            second.backward()
+        # nothing was accumulated before the error
+        assert np.array_equal(x.grad, x_grad) and np.array_equal(out.grad, out_grad)
+        assert second.grad is None
+
+    def test_held_non_leaf_keeps_grad_and_drops_parents(self):
+        x = parameter(np.array([1.0, -2.0]))
+        h = x * 2.0
+        (h * h).sum().backward()
+        assert np.array_equal(h.grad, 2 * h.value)
+        assert h._parents == ()
+        assert np.array_equal(x.grad, 8 * x.value)
+
+    def test_leaves_survive_for_the_next_forward(self):
+        x = parameter(np.array([1.0, -2.0]))
+        (x * 2.0).sum().backward()
+        (x * 3.0).sum().backward()
+        assert np.array_equal(x.grad, [5.0, 5.0])
+
+    def test_intermediate_values_are_freed(self):
+        x = parameter(np.ones(3))
+
+        def loss_and_probe():
+            mid = x * 2.0
+            return (mid * mid).sum(), weakref.ref(mid.value)
+
+        loss, probe = loss_and_probe()
+        assert probe() is not None  # the graph holds it until backward
+        loss.backward()
+        assert probe() is None
 
 
 class TestBroadcastGradients:

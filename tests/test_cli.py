@@ -204,6 +204,22 @@ class TestMalformedInput:
         assert f"model.{model_key}" in err[0] and f"data.{data_key}" in err[0]
         assert not (tmp_path / "run" / "config.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "lr-find"])
+    def test_directory_channel_mismatch_is_config_error(self, tmp_path, capsys, command):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--config", str(write_config(tmp_path, out_dir=str(ds)))]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, data={"kind": "directory", "path": str(ds),
+                                           "n_classes": 3, "split": [0.5, 0.25, 0.25]})
+        doc = json.loads(cfg.read_text())
+        doc["model"]["input_channels"] = 4  # the synthesized images have 3
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error kind=config msg="')
+        assert "model.input_channels (4)" in err[0] and "(3)" in err[0]
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):

@@ -4,6 +4,7 @@ and checkpoint round-trips."""
 import numpy as np
 import pytest
 
+from atrousseg import fileio
 from atrousseg.autodiff import Node, ShapeError, is_grad_enabled
 from atrousseg.models import (ModelSpec, build_model, load_checkpoint,
                               param_count, save_checkpoint)
@@ -168,6 +169,48 @@ class TestCheckpoint:
         assert set(src) == set(dst)
         for k in src:
             assert np.array_equal(src[k], dst[k]), k
+
+    @staticmethod
+    def fail_on_write(monkeypatch, n):
+        """Make the n-th write_nct from here on raise."""
+        calls, write = [], fileio.write_nct
+
+        def flaky(path, array):
+            calls.append(path)
+            if len(calls) == n:
+                raise OSError("disk full")
+            write(path, array)
+
+        monkeypatch.setattr(fileio, "write_nct", flaky)
+
+    @staticmethod
+    def assert_same_state(a, b):
+        sa, sb = a.state_dict(), b.state_dict()
+        assert set(sa) == set(sb) and all(np.array_equal(sa[k], sb[k]) for k in sa)
+
+    def test_failed_write_leaves_no_checkpoint(self, tmp_path, monkeypatch):
+        self.fail_on_write(monkeypatch, 5)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(tiny_spec(), seed=0), tmp_path / "ck")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_overwrite_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        first = build_model(tiny_spec(), seed=0)
+        save_checkpoint(first, tmp_path / "ck")
+        self.fail_on_write(monkeypatch, 5)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(tiny_spec(), seed=1), tmp_path / "ck")
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+        self.assert_same_state(load_checkpoint(tmp_path / "ck"), first)
+
+    def test_overwrite_replaces_checkpoint(self, tmp_path):
+        save_checkpoint(build_model(tiny_spec("cmtsk"), seed=0), tmp_path / "ck")
+        second = build_model(tiny_spec(), seed=1)
+        assert save_checkpoint(second, tmp_path / "ck") == tmp_path / "ck"
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+        clone = load_checkpoint(tmp_path / "ck")
+        assert clone.spec == second.spec
+        self.assert_same_state(clone, second)
 
     def test_load_rejects_missing_tensor(self, tmp_path):
         model = build_model(tiny_spec(), seed=0)

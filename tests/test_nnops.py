@@ -215,6 +215,23 @@ class TestBatchNorm:
         assert np.allclose(out.value, (x.value - 2.0) / 2.0)
         assert rm[0] == 2.0 and rv[0] == 4.0  # eval never touches them
 
+    def test_eval_backward_ignores_later_running_stat_updates(self, rng):
+        # backward recomputes xhat, so it must not read the running buffers
+        # that a train-mode call between forward and backward updates in place
+        x0 = rng.normal(size=(2, 2, 3, 3))
+        grads = []
+        for interleave in (False, True):
+            x, gamma = parameter(x0.copy()), parameter(np.array([0.5, 2.0]))
+            rm, rv = np.array([0.3, -0.2]), np.array([1.5, 0.7])
+            out = batch_norm(x, gamma, parameter(np.zeros(2)), rm, rv, training=False)
+            if interleave:
+                batch_norm(parameter(x0 + 5.0), parameter(np.ones(2)),
+                           parameter(np.zeros(2)), rm, rv, training=True)
+            (out * out).sum().backward()
+            grads.append((x.grad, gamma.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
+
     def test_population_of_one_rejected(self):
         x = parameter(np.ones((1, 2, 1, 1)))
         with pytest.raises(ValueError, match="population"):
