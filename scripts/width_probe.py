@@ -9,15 +9,14 @@ Builds a d6 trunk with 32 initial filters and the conditioned multitask
 It prints the wall seconds of each phase, the absolute sum and a SHA-256
 digest of every parameter gradient (so two builds can be checked for
 bit-identical gradients), and the process's peak RSS from ``getrusage``
-after the train step and at the end.  A run takes about 10 s and 2-4 GB
-at the default width; pin BLAS to one thread for comparable numbers:
+after the train step and at the end.  A run takes about 10 s and 2-4 GB;
+pin BLAS to one thread for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/width_probe.py
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import resource
@@ -31,6 +30,8 @@ from atrousseg.models import ModelSpec, build_model
 from atrousseg.synth import SceneSpec, generate
 from atrousseg.trainer import batch_loss
 
+FILTERS, SIZE, SEED, CLASSES = 32, 256, 0, 6
+
 
 def peak_rss_mb() -> float:
     # ru_maxrss is KiB on Linux, bytes on macOS
@@ -39,19 +40,11 @@ def peak_rss_mb() -> float:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--filters", type=int, default=32)
-    parser.add_argument("--size", type=int, default=256)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
-    classes = 6
-    scene = generate(SceneSpec(size=args.size, n_classes=classes, n_images=1,
-                               seed=args.seed))[0]
-    record = derive_record(scene.image, scene.mask, classes)
-    model = build_model(ModelSpec(depth="d6", initial_filters=args.filters,
-                                  n_classes=classes, input_channels=3, head="cmtsk"),
-                        seed=args.seed)
+    scene = generate(SceneSpec(size=SIZE, n_classes=CLASSES, n_images=1, seed=SEED))[0]
+    record = derive_record(scene.image, scene.mask, CLASSES)
+    model = build_model(ModelSpec(depth="d6", initial_filters=FILTERS,
+                                  n_classes=CLASSES, input_channels=3, head="cmtsk"),
+                        seed=SEED)
     params = model.parameters()
 
     t0 = time.perf_counter()
@@ -71,7 +64,7 @@ def main() -> None:
     t4 = time.perf_counter()
 
     print(json.dumps({
-        "filters": args.filters, "size": args.size, "loss": f"{loss.item():.17g}",
+        "loss": f"{loss.item():.17g}",
         "forward_s": round(t1 - t0, 3), "backward_s": round(t2 - t1, 3),
         "eval_window_s": round(t4 - t3, 3),
         "grad_abs_sum": f"{grad_abs_sum:.17g}", "grad_sha256": digest.hexdigest(),

@@ -121,13 +121,9 @@ def cmd_train(args) -> int:
 
 def cmd_lr_find(args) -> int:
     cfg = _load_run_config(args)
-    try:
-        pipeline.check_model_fits_data(cfg)
-    except ValueError as exc:
-        raise _config_error(exc) from exc
     records = _build_dataset(cfg)
     try:
-        pipeline.check_model_fits_records(cfg, records)
+        pipeline.check_model_fits(cfg, records)
     except ValueError as exc:
         raise _config_error(exc) from exc
     train_recs, _, _ = pipeline.split_records(records, cfg.data.split, cfg.data.seed)

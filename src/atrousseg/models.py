@@ -273,11 +273,20 @@ def save_checkpoint(model: SegmentationModel, out_dir) -> Path:
     """Write every parameter/buffer as an NCT1 tensor plus a JSON manifest.
 
     The files go into a sibling temporary directory that is then renamed to
-    ``out_dir``, replacing any directory there as a whole.  A write that fails
-    part way leaves either no checkpoint or the previous complete one.
+    ``out_dir``.  ``out_dir`` must be new, empty or an earlier checkpoint
+    (it has a ``manifest.json``), which is replaced as a whole; any other
+    directory, or one holding the working directory, is refused before
+    anything is written.  A write that fails part way leaves either no
+    checkpoint or the previous complete one.
     """
-    out = Path(out_dir)
+    out = Path(out_dir).resolve()
+    if out.exists() and not (out.is_dir() and ((out / "manifest.json").is_file()
+                                               or not any(out.iterdir()))):
+        raise FileExistsError(f"{out} exists and is neither empty nor a checkpoint")
+    if Path.cwd().is_relative_to(out):
+        raise ValueError(f"cannot replace {out}, which holds the working directory")
     tmp = fileio.ensure_dir(out.parent) / f".{out.name}.{secrets.token_hex(4)}"
+    old = tmp.with_name(tmp.name + ".old")
     tmp.mkdir()  # unlike mkdtemp, keeps the umask's permissions
     try:
         tensors = {}
@@ -287,15 +296,16 @@ def save_checkpoint(model: SegmentationModel, out_dir) -> Path:
             tensors[name] = fname
         manifest = {"spec": asdict(model.spec), "format": "nct1", "tensors": tensors}
         (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2))
-        old = tmp.with_name(tmp.name + ".old")
-        if out.is_dir():
+        if out.exists():
             os.replace(out, old)
         os.replace(tmp, out)
-        shutil.rmtree(old, ignore_errors=True)
     except BaseException:
+        if old.exists() and not out.exists():
+            os.replace(old, out)
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    return out
+    shutil.rmtree(old, ignore_errors=True)
+    return Path(out_dir)
 
 
 def load_checkpoint(ckpt_dir) -> SegmentationModel:

@@ -30,25 +30,18 @@ def split_records(records, ratios=(0.8, 0.1, 0.1), seed: int = 0):
     return tuple([records[r.tile_id] for r in part] for part in parts)
 
 
-def check_model_fits_data(cfg: RunConfig) -> None:
-    """Model and data must agree on classes, and on channels for synthetic data."""
-    pairs = [("n_classes", "n_classes")]
-    if cfg.data.kind == "synthetic":
-        pairs.append(("input_channels", "channels"))
-    for model_key, data_key in pairs:
-        m, d = getattr(cfg.model, model_key), getattr(cfg.data, data_key)
-        if m != d:
-            raise ValueError(f"model.{model_key} ({m}) must equal data.{data_key} ({d})")
-
-
-def check_model_fits_records(cfg: RunConfig, records) -> None:
-    """Every loaded image must have the model's input channels; directory data
-    shows its channel count only once it is loaded."""
+def check_model_fits(cfg: RunConfig, records) -> None:
+    """Model and data must agree on classes, and on the loaded images' channels;
+    directory data shows its channel count only once it is loaded."""
+    if cfg.model.n_classes != cfg.data.n_classes:
+        raise ValueError(f"model.n_classes ({cfg.model.n_classes}) must equal "
+                         f"data.n_classes ({cfg.data.n_classes})")
     want = cfg.model.input_channels
+    data_key = ("data.channels" if cfg.data.kind == "synthetic"
+                else "the channel count of the data's images")
     for got in sorted({r.image.shape[0] for r in records}):
         if got != want:
-            raise ValueError(f"model.input_channels ({want}) must equal the channel "
-                             f"count of the data's images ({got})")
+            raise ValueError(f"model.input_channels ({want}) must equal {data_key} ({got})")
 
 
 def run_training(cfg: RunConfig):
@@ -57,9 +50,8 @@ def run_training(cfg: RunConfig):
     Nothing is written until the config and the loaded data pass their checks.
     Returns (model, TrainResult, dict of artifact paths).
     """
-    check_model_fits_data(cfg)
     records = build_records(cfg.data)
-    check_model_fits_records(cfg, records)
+    check_model_fits(cfg, records)
     out = fileio.ensure_dir(cfg.out_dir)
     write_snapshot(cfg, out / "config.json")
 

@@ -1,6 +1,8 @@
 """Architecture assembly: parameter budgets, head wiring, input validation,
 and checkpoint round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,38 @@ class TestCheckpoint:
             save_checkpoint(build_model(tiny_spec(), seed=1), tmp_path / "ck")
         assert [p.name for p in tmp_path.iterdir()] == ["ck"]
         self.assert_same_state(load_checkpoint(tmp_path / "ck"), first)
+
+    def test_failed_rename_restores_previous_checkpoint(self, tmp_path, monkeypatch):
+        first = build_model(tiny_spec(), seed=0)
+        save_checkpoint(first, tmp_path / "ck")
+        calls, replace = [], os.replace
+
+        def flaky(src, dst):  # the old checkpoint moves aside, the new one fails
+            calls.append(src)
+            if len(calls) == 2:
+                raise OSError("rename failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky)
+        with pytest.raises(OSError, match="rename failed"):
+            save_checkpoint(build_model(tiny_spec(), seed=1), tmp_path / "ck")
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+        self.assert_same_state(load_checkpoint(tmp_path / "ck"), first)
+
+    def test_refuses_directory_that_is_not_a_checkpoint(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "history.csv").write_text("epoch\n")
+        with pytest.raises(FileExistsError):
+            save_checkpoint(build_model(tiny_spec(), seed=0), tmp_path / "run")
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["history.csv"]
+
+    def test_refuses_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="working directory"):
+            save_checkpoint(build_model(tiny_spec(), seed=0), ".")
+        assert list(tmp_path.iterdir()) == []
 
     def test_overwrite_replaces_checkpoint(self, tmp_path):
         save_checkpoint(build_model(tiny_spec("cmtsk"), seed=0), tmp_path / "ck")
