@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,26 +25,26 @@ from .trainer import batch_loss, lr_finder
 
 
 class CliError(Exception):
-    def __init__(self, kind: str, code: int, message: str):
-        super().__init__(message)
+    CODES = {"config": 1, "data": 2, "numeric": 3}
+
+    def __init__(self, kind: str, message):
+        super().__init__(str(message))
         self.kind = kind
-        self.code = code
+        self.code = self.CODES[kind]
 
 
-def _config_error(msg) -> CliError:
-    return CliError("config", 1, str(msg))
-
-
-def _data_error(msg) -> CliError:
-    return CliError("data", 2, str(msg))
-
-
-def _numeric_error(msg) -> CliError:
-    return CliError("numeric", 3, str(msg))
+@contextmanager
+def _reraise(kind: str, *types):
+    """Report an exception of ``types`` raised in the body as a CliError of ``kind``."""
+    try:
+        yield
+    except types as exc:
+        raise CliError(kind, exc) from exc
 
 
 def _load_run_config(args):
-    try:
+    with (_reraise("data", FileNotFoundError),
+          _reraise("config", ValueError, TypeError, KeyError)):
         cfg = load_config(args.config)
         return apply_overrides(
             cfg,
@@ -53,25 +55,19 @@ def _load_run_config(args):
             loss=getattr(args, "loss", None),
             out_dir=getattr(args, "out", None),
         )
-    except FileNotFoundError as exc:
-        raise _data_error(exc) from exc
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _config_error(exc) from exc
 
 
-def _build_dataset(cfg):
-    try:
-        return pipeline.build_records(cfg.data)
-    except (OSError, ValueError) as exc:
-        raise _data_error(exc) from exc
+def _checked_records(cfg):
+    """(train, val) records: unreadable data is a data error, and a model,
+    data and split that do not fit are a config error."""
+    with _reraise("config", ValueError):
+        return pipeline.prepare_records(cfg, partial(_reraise, "data", OSError, ValueError))
 
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    try:
+    with _reraise("config", ValueError):
         spec = cfg.data.scene_spec()
-    except ValueError as exc:
-        raise _config_error(exc) from exc
     out = fileio.ensure_dir(Path(cfg.out_dir))
     synth.write_dataset(synth.generate(spec), out, spec)
     print(f"wrote {spec.n_images} scenes to {out}")
@@ -79,10 +75,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_derive_labels(args) -> int:
-    try:
+    with _reraise("data", OSError, ValueError):
         pairs = synth.load_dataset(args.data)
-    except (FileNotFoundError, OSError, json.JSONDecodeError, ValueError) as exc:
-        raise _data_error(exc) from exc
     out = fileio.ensure_dir(args.out)
 
     def derive_one(item):
@@ -94,7 +88,9 @@ def cmd_derive_labels(args) -> int:
             fileio.write_nct(f"{stem}.{name}.nct", getattr(rec, name))
         return i
 
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
+    # ValueError: e.g. --classes at or below a mask's largest class id
+    with (_reraise("data", ValueError),
+          ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool):
         done = list(pool.map(derive_one, enumerate(pairs)))
     print(f"derived labels for {len(done)} records under {out}")
     return 0
@@ -102,16 +98,14 @@ def cmd_derive_labels(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    try:
-        model, result, paths = pipeline.run_training(cfg)
-    except (FileNotFoundError, OSError) as exc:
-        raise _data_error(exc) from exc
-    except ValueError as exc:
-        raise _config_error(exc) from exc
+    train_recs, val_recs = _checked_records(cfg)
+    # ValueError: an empty val part, or an out_dir holding the working directory
+    with _reraise("data", OSError), _reraise("config", ValueError):
+        model, result, paths = pipeline.run_training(cfg, train_recs, val_recs)
     if result.halted:
-        raise _numeric_error(
-            f"non-finite loss after epoch {len(result.history)}; "
-            f"best checkpoint (epoch {result.best_epoch}) restored and saved")
+        raise CliError("numeric",
+                       f"non-finite loss after epoch {len(result.history)}; "
+                       f"best checkpoint (epoch {result.best_epoch}) restored and saved")
     last = result.history[-1]
     print(f"trained {len(result.history)} epochs; "
           f"best val loss {result.best_val_loss:.6f} at epoch {result.best_epoch}; "
@@ -121,14 +115,7 @@ def cmd_train(args) -> int:
 
 def cmd_lr_find(args) -> int:
     cfg = _load_run_config(args)
-    records = _build_dataset(cfg)
-    try:
-        pipeline.check_model_fits(cfg, records)
-    except ValueError as exc:
-        raise _config_error(exc) from exc
-    train_recs, _, _ = pipeline.split_records(records, cfg.data.split, cfg.data.seed)
-    if not train_recs:
-        raise _data_error("no training records after split")
+    train_recs, _ = _checked_records(cfg)
     model = build_model(cfg.model, seed=cfg.train.seed)
     mb = cfg.train.micro_batch
     batches = [train_recs[i:i + mb] for i in range(0, len(train_recs), mb)]
@@ -136,8 +123,9 @@ def cmd_lr_find(args) -> int:
     def loss_fn(chunk):
         return batch_loss(model, chunk, cfg.train.loss_id)[0]
 
-    res = lr_finder(loss_fn, model.parameters(), batches, lr_lo=args.lr_lo,
-                    lr_hi=args.lr_hi, steps=args.steps)
+    with _reraise("config", ValueError):  # --steps or the --lr-lo/--lr-hi range
+        res = lr_finder(loss_fn, model.parameters(), batches, lr_lo=args.lr_lo,
+                        lr_hi=args.lr_hi, steps=args.steps)
     out = fileio.ensure_dir(Path(cfg.out_dir))
     with open(out / "lr_curve.csv", "w") as fh:
         fh.write("lr,loss,smoothed\n")
@@ -147,23 +135,18 @@ def cmd_lr_find(args) -> int:
         json.dump({"suggestion": res.suggestion, "diverged": res.diverged,
                    "diagnostic": res.diagnostic}, fh, indent=2)
     if res.diverged:
-        raise _numeric_error(f"lr finder diverged: {res.diagnostic}")
+        raise CliError("numeric", f"lr finder diverged: {res.diagnostic}")
     print(f"suggested lr: {res.suggestion:.3e} (curve: {out / 'lr_curve.csv'})")
     return 0
 
 
 def cmd_infer(args) -> int:
-    try:
+    with _reraise("data", OSError, KeyError, ValueError):
         model = load_checkpoint(args.checkpoint)
         tile = fileio.read_image(args.image)
-    except (FileNotFoundError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise _data_error(exc) from exc
-    try:
         probs = evaluate.sliding_window_inference(tile, model, window=args.window)
-    except ValueError as exc:
-        raise _data_error(exc) from exc
     if not np.isfinite(probs).all():
-        raise _numeric_error("non-finite probabilities produced during inference")
+        raise CliError("numeric", "non-finite probabilities produced during inference")
     out = fileio.ensure_dir(args.out)
     fileio.write_nct(out / "probabilities.nct", probs)
     fileio.write_pgm(out / "prediction.pgm", probs.argmax(axis=0).astype(np.uint8))
@@ -172,13 +155,11 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
+    with _reraise("data", OSError, ValueError):
         pred = fileio.read_pgm(args.pred)
         ref = fileio.read_pgm(args.ref)
         cm = evaluate.confusion(pred, ref, ignore=args.ignore)
         result = evaluate.metrics(cm, exclude=set(args.exclude or []))
-    except (FileNotFoundError, OSError, ValueError) as exc:
-        raise _data_error(exc) from exc
     out = fileio.ensure_dir(args.out)
     with open(out / "metrics.json", "w") as fh:
         json.dump(result, fh, indent=2)
@@ -189,13 +170,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_loss_field(args) -> int:
-    try:
+    with _reraise("config", ValueError):
         gt = tuple(float(v) for v in args.gt.split(","))
         if len(gt) != 2:
             raise ValueError("--gt expects two comma-separated values, e.g. 1,0")
         field = losses.field_sample(args.loss, l=gt, grid_n=args.grid)
-    except ValueError as exc:
-        raise _config_error(exc) from exc
     out = Path(args.out)
     if out.parent != Path(""):
         fileio.ensure_dir(out.parent)
@@ -205,13 +184,11 @@ def cmd_loss_field(args) -> int:
 
 
 def cmd_param_count(args) -> int:
-    try:
+    with _reraise("config", ValueError):
         spec = ModelSpec(depth=args.model, initial_filters=args.filters,
                          n_classes=args.classes, input_channels=args.channels,
                          head=args.head)
         model = build_model(spec, seed=0)
-    except ValueError as exc:
-        raise _config_error(exc) from exc
     print(json.dumps({"depth": spec.depth, "head": spec.head,
                       "initial_filters": spec.initial_filters,
                       "input_channels": spec.input_channels,

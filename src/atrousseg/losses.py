@@ -206,6 +206,8 @@ def field_sample(loss_id: str, l=(1.0, 0.0), grid_n: int = 101) -> LossField:
     """
     if loss_id not in LOSS_IDS:
         raise ValueError(f"unknown loss id {loss_id!r}; choose from {LOSS_IDS}")
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     lx, ly = float(l[0]), float(l[1])
     grid = np.linspace(0.0, 1.0, grid_n)
     h = grid[1] - grid[0]

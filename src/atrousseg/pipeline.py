@@ -1,5 +1,5 @@
-"""End-to-end assembly: dataset construction, record splitting, and the
-training entry point shared by the CLI and the test-suite."""
+"""End-to-end assembly: dataset construction, record splitting, the checked
+prelude shared by `train` and `lr-find`, and the training entry point."""
 
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ def split_records(records, ratios=(0.8, 0.1, 0.1), seed: int = 0):
 
 
 def check_model_fits(cfg: RunConfig, records) -> None:
-    """Model and data must agree on classes, and on the loaded images' channels;
-    directory data shows its channel count only once it is loaded."""
+    """Model and data must agree on classes, and on the loaded images' channels
+    and sides; directory data shows its image shapes only once it is loaded."""
     if cfg.model.n_classes != cfg.data.n_classes:
         raise ValueError(f"model.n_classes ({cfg.model.n_classes}) must equal "
                          f"data.n_classes ({cfg.data.n_classes})")
@@ -42,23 +42,41 @@ def check_model_fits(cfg: RunConfig, records) -> None:
     for got in sorted({r.image.shape[0] for r in records}):
         if got != want:
             raise ValueError(f"model.input_channels ({want}) must equal {data_key} ({got})")
+    div = cfg.model.size_divisor
+    for h, w in sorted({r.image.shape[1:] for r in records}):
+        if h % div or w % div:
+            raise ValueError(f"model.depth {cfg.model.depth} needs image sides divisible "
+                             f"by {div}, got {h}x{w}")
 
 
-def run_training(cfg: RunConfig):
-    """Train per config; writes snapshot, history CSV, checkpoint, metrics.
+def prepare_records(cfg: RunConfig, loading):
+    """Load, check and split a run's records into (train, val); val may be empty.
 
-    Nothing is written until the config and the loaded data pass their checks.
+    Loading runs inside the context manager ``loading()``, so a caller can tell
+    unreadable data from a model, data and split that do not fit (ValueError).
+    """
+    with loading():
+        records = build_records(cfg.data)
+    check_model_fits(cfg, records)
+    train_recs, val_recs, _ = split_records(records, cfg.data.split, cfg.data.seed)
+    if not train_recs:
+        raise ValueError("split produced an empty train set; "
+                         "increase data.n_images or adjust data.split")
+    return train_recs, val_recs
+
+
+def run_training(cfg: RunConfig, train_recs, val_recs):
+    """Train on the records of ``prepare_records``; writes snapshot, history
+    CSV, checkpoint, metrics.
+
+    An empty val part is refused before anything is written.
     Returns (model, TrainResult, dict of artifact paths).
     """
-    records = build_records(cfg.data)
-    check_model_fits(cfg, records)
+    if not val_recs:
+        raise ValueError("split produced an empty val set; "
+                         "increase data.n_images or adjust data.split")
     out = fileio.ensure_dir(cfg.out_dir)
     write_snapshot(cfg, out / "config.json")
-
-    train_recs, val_recs, _ = split_records(records, cfg.data.split, cfg.data.seed)
-    if not train_recs or not val_recs:
-        raise ValueError("split produced an empty train or val set; "
-                         "increase data.n_images or adjust data.split")
 
     train_cfg = dataclasses.replace(cfg.train, augment=cfg.augment)
     model = build_model(cfg.model, seed=cfg.train.seed)

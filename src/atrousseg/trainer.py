@@ -168,6 +168,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.plateau_factor < 1.0):
             raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.micro_batch < 1 or self.aggregate_steps < 1:
             raise ValueError("micro_batch and aggregate_steps must be >= 1")
         if self.loss_id not in LOSS_IDS:

@@ -221,6 +221,67 @@ class TestMalformedInput:
         assert not (tmp_path / "run").exists()
 
 
+def _run(command, *flags, **data):
+    """argv builder: ``command`` on write_config's run, its data section updated."""
+    def make(tmp_path):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["data"].update(data)
+        cfg.write_text(json.dumps(doc))
+        return [command, "--config", str(cfg), *flags]
+    return make
+
+
+def _entry_without_files(command):
+    def make(tmp_path):
+        (tmp_path / "manifest.json").write_text('{"entries": [{}]}')
+        return _run(command, kind="directory", path=str(tmp_path))(tmp_path)
+    return make
+
+
+def _derive_below_largest_class(tmp_path):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--config", str(write_config(tmp_path, out_dir=str(ds)))]) == 0
+    return ["derive-labels", "--data", str(ds), "--out", str(tmp_path / "run"),
+            "--classes", "2"]  # the synthesized masks hold class ids 0..2
+
+
+def _loss_field_grid(n):
+    return lambda tmp_path: ["loss-field", "--loss", "d1", "--grid", str(n),
+                             "--out", str(tmp_path / "run" / "f.csv")]
+
+
+class TestOneErrorLineBeforeAnyWrite:
+    """Bad data, a model/data/split mismatch or a bad flag: one protocol line,
+    the exit code of its kind, no traceback; train and lr-find write nothing."""
+
+    @pytest.mark.parametrize("make_argv, kind, code", [
+        pytest.param(_entry_without_files("train"), "data", 2, id="train-manifest-entry"),
+        *(pytest.param(_run(command, **data), "config", 1, id=f"{command}-{name}")
+          for command in ("train", "lr-find")
+          for name, data in [("empty-train-part", {"split": [0.0, 0.5, 0.5]}),
+                             ("2-images-3-way-split", {"n_images": 2}),
+                             ("size-80-for-d6", {"size": 80})]),
+        pytest.param(_run("train", split=[0.5, 0.0, 0.5]), "config", 1,
+                     id="train-empty-val-part"),
+        pytest.param(_run("train", "--epochs", "0"), "config", 1, id="train-epochs-0"),
+        pytest.param(_run("lr-find", "--steps", "1"), "config", 1, id="lr-find-steps-1"),
+        pytest.param(_run("lr-find", "--lr-lo", "1", "--lr-hi", "0.1"), "config", 1,
+                     id="lr-find-reversed-range"),
+        pytest.param(_loss_field_grid(1), "config", 1, id="loss-field-grid-1"),
+        pytest.param(_loss_field_grid(0), "config", 1, id="loss-field-grid-0"),
+        pytest.param(_derive_below_largest_class, "data", 2, id="derive-labels-classes-2"),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, make_argv, kind, code):
+        argv = make_argv(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f'error kind={kind} msg="'), err
+        if argv[0] in ("train", "lr-find"):
+            assert not (tmp_path / "run").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     """One small end-to-end training run shared by the pipeline tests."""
@@ -314,3 +375,14 @@ class TestLrFind:
         doc = json.loads((out / "lr_suggestion.json").read_text())
         assert not doc["diverged"]
         assert doc["suggestion"] > 0
+
+    def test_manifest_entry_without_files_is_data_error(self, tmp_path, capsys):
+        assert main(_entry_without_files("lr-find")(tmp_path)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error kind=data msg="')
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_val_part_is_accepted(self, tmp_path, capsys):
+        argv = _run("lr-find", "--steps", "3", split=[0.5, 0.0, 0.5])(tmp_path)
+        assert main(argv) == 0
+        assert len((tmp_path / "run" / "lr_curve.csv").read_text().splitlines()) == 4
