@@ -19,7 +19,7 @@ import numpy as np
 
 from . import evaluate, fileio, losses, pipeline, synth
 from .config import apply_overrides, load_config
-from .labels import derive_record
+from .labels import check_sample, derive_record
 from .models import DEPTHS, HEADS, ModelSpec, build_model, load_checkpoint, param_count
 from .trainer import batch_loss, lr_finder
 
@@ -75,22 +75,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_derive_labels(args) -> int:
+    # one class count for the whole dataset, and every pair checked against
+    # it, before --out is created
     with _reraise("data", OSError, ValueError):
         pairs = synth.load_dataset(args.data)
+        n_classes = args.classes
+        if n_classes is None:
+            n_classes = max((int(mask.max()) for _, mask in pairs), default=0) + 1
+        for image, mask in pairs:
+            check_sample(image, mask, n_classes)
     out = fileio.ensure_dir(args.out)
 
     def derive_one(item):
         i, (image, mask) = item
-        rec = derive_record(image, mask, int(mask.max()) + 1 if args.classes is None
-                            else args.classes)
+        rec = derive_record(image, mask, n_classes)
         stem = out / f"record_{i:04d}"
         for name in ("onehot", "boundary", "distance", "hsv"):
             fileio.write_nct(f"{stem}.{name}.nct", getattr(rec, name))
         return i
 
-    # ValueError: e.g. --classes at or below a mask's largest class id
-    with (_reraise("data", ValueError),
-          ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool):
+    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
         done = list(pool.map(derive_one, enumerate(pairs)))
     print(f"derived labels for {len(done)} records under {out}")
     return 0
@@ -221,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive-labels", help="derive target channels for a dataset")
     p.add_argument("--data", required=True, help="dataset directory (manifest.json)")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int)
+    p.add_argument("--classes", type=int,
+                   help="class count (default: the largest class id in any mask, plus one)")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_derive_labels)
 

@@ -30,8 +30,9 @@ class SampleRecord:
         return self.onehot.shape[0]
 
 
-def one_hot(mask, n_classes: int, dtype=np.float32) -> np.ndarray:
-    """Expand an integer mask (H, W) to exact one-hot planes (K, H, W)."""
+def _check_mask(mask, n_classes: int) -> np.ndarray:
+    """The mask as an array; ValueError unless it is a 2-D integer mask whose
+    class ids lie in [0, n_classes)."""
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
@@ -40,6 +41,12 @@ def one_hot(mask, n_classes: int, dtype=np.float32) -> np.ndarray:
     if m.size and (m.min() < 0 or m.max() >= n_classes):
         bad = np.unique(m[(m < 0) | (m >= n_classes)])
         raise ValueError(f"mask contains class ids {bad.tolist()} outside [0, {n_classes})")
+    return m
+
+
+def one_hot(mask, n_classes: int, dtype=np.float32) -> np.ndarray:
+    """Expand an integer mask (H, W) to exact one-hot planes (K, H, W)."""
+    m = _check_mask(mask, n_classes)
     eye = np.eye(n_classes, dtype=dtype)
     return eye[m].transpose(2, 0, 1)
 
@@ -120,6 +127,18 @@ def hsv_to_rgb(hsv) -> np.ndarray:
     return np.stack([r, g, b])
 
 
+def check_sample(image, mask, n_classes: int) -> None:
+    """ValueError unless derive_record accepts this image, mask and class count."""
+    img = np.asarray(image)
+    if img.ndim != 3:
+        raise ValueError(f"image must be (C, H, W), got shape {img.shape}")
+    if img.shape[0] < 3:
+        raise ValueError(f"image needs at least 3 channels for the color target, got {img.shape[0]}")
+    if img.shape[1:] != np.shape(mask):
+        raise ValueError(f"image plane {img.shape[1:]} does not match mask {np.shape(mask)}")
+    _check_mask(mask, n_classes)
+
+
 def derive_record(image, mask, n_classes: int, dtype=np.float32) -> SampleRecord:
     """Build a SampleRecord: one-hot plus per-class boundary/distance and HSV.
 
@@ -128,12 +147,7 @@ def derive_record(image, mask, n_classes: int, dtype=np.float32) -> SampleRecord
     """
     img = np.asarray(image, dtype=dtype)
     m = np.asarray(mask)
-    if img.ndim != 3:
-        raise ValueError(f"image must be (C, H, W), got shape {img.shape}")
-    if img.shape[0] < 3:
-        raise ValueError(f"image needs at least 3 channels for the color target, got {img.shape[0]}")
-    if img.shape[1:] != m.shape:
-        raise ValueError(f"image plane {img.shape[1:]} does not match mask {m.shape}")
+    check_sample(img, m, n_classes)
     oh = one_hot(m, n_classes, dtype=dtype)
     boundary = np.stack([get_boundary(oh[k]) for k in range(n_classes)]).astype(dtype)
     distance = np.stack([get_distance(oh[k]) for k in range(n_classes)]).astype(dtype)

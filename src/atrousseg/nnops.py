@@ -2,13 +2,13 @@
 
 All operations take and return :class:`~atrousseg.autodiff.Node` instances and
 register backward closures on the recorded graph.  Every tensor crosses the
-API as NCHW (weights as OIHW); conv2d alone computes channels-last inside.
+API as NCHW (weights as OIHW); conv2d alone computes channels-last inside,
+and only for kernels wider than 1x1.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .autodiff import Node, ShapeError, accumulate, as_node, make_node
 
@@ -24,8 +24,12 @@ def relu(x) -> Node:
 
 
 def sigmoid(x) -> Node:
+    """Logistic function as 0.5*tanh(0.5*x) + 0.5: inside [0, 1], no overflow."""
     x = as_node(x)
-    out = expit(x.value)
+    out = x.value * 0.5
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
 
     def backward(g):
         accumulate(x, g * out * (1.0 - out))
@@ -71,7 +75,8 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     pixel on the trailing side, so the output spatial size is
     ceil(H/stride) x ceil(W/stride) for stride in {1, 2}.
 
-    Inputs, outputs and gradients are NCHW with OIHW weights; inside, the
+    Inputs, outputs and gradients are NCHW with OIHW weights.  A 1x1 kernel
+    is one GEMM on the NCHW planes (see ``_conv1x1``).  For wider kernels the
     input is transposed once to channels-last and each kernel tap adds one
     small matmul into the output pixels whose input pixel lies inside the
     plane.  The padding is never built: a tap whose reads all land in it
@@ -94,6 +99,8 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
         raise ValueError(f"conv2d stride must be 1 or 2, got {stride}")
     if dilation < 1:
         raise ValueError(f"conv2d dilation must be >= 1, got {dilation}")
+    if kh == 1:
+        return _conv1x1(x, w, b, stride)
 
     k = kh
     rows = _live_spans(k, dilation, stride, h)
@@ -137,15 +144,52 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     return make_node(out, parents, backward)
 
 
+def _conv1x1(x: Node, w: Node, b, stride: int) -> Node:
+    """conv2d for a 1x1 kernel: w[:, :, 0, 0] @ the (strided) pixels of each
+    image, on NCHW with no transpose.  Backward is wT @ g per image for x
+    (scattered back to the strided pixels) and g @ pixelsT per image, summed
+    over the batch, for w."""
+    n, cin, h, wid = x.shape
+    ho, wo = -(-h // stride), -(-wid // stride)
+    wm = w.value[:, :, 0, 0]
+
+    def pixels():
+        return x.value[:, :, ::stride, ::stride].reshape(n, cin, ho * wo)
+
+    out = np.matmul(wm, pixels())
+    if b is not None:
+        b = as_node(b)
+        out += b.value[:, None]
+
+    def backward(g):
+        g = g.reshape(n, -1, ho * wo)
+        if w.requires_grad:
+            gw = np.matmul(g, pixels().transpose(0, 2, 1)).sum(axis=0)
+            accumulate(w, gw.reshape(w.shape))
+        if b is not None and b.requires_grad:
+            accumulate(b, g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            # x's dtype, even when g is wider (f64 head gradients on f32 trunks)
+            gx = np.matmul(wm.T, g).astype(x.dtype, copy=False).reshape(n, cin, ho, wo)
+            if stride > 1:
+                gx, strided = np.zeros_like(x.value), gx
+                gx[:, :, ::stride, ::stride] = strided
+            accumulate(x, gx)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return make_node(out.reshape(n, -1, ho, wo), parents, backward)
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
                momentum: float = 0.9, eps: float = 1e-5) -> Node:
     """Per-channel batch normalisation over (N, H, W).
 
     In training mode, batch statistics normalise the input and the running
     buffers are updated in place as momentum*old + (1-momentum)*batch.
-    Eval mode normalises with the running buffers.  Backward recomputes the
-    normalised input ``xhat`` from the input node's value with the forward's
-    expression instead of keeping it alive.
+    Eval mode normalises with the running buffers.  Forward applies
+    gamma*(x - mean)*invstd + beta as one per-channel scale and shift of x.
+    Backward recomputes the normalised input ``xhat`` from the input node's
+    value instead of keeping it alive.
     """
     x, gamma, beta = as_node(x), as_node(gamma), as_node(beta)
     if x.ndim != 4:
@@ -171,14 +215,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         var = running_var.astype(x.dtype, copy=False)
 
     invstd = 1.0 / np.sqrt(var + eps)
-
-    def normalised():
-        return (x.value - mean[:, None, None]) * invstd[:, None, None]
-
-    out = gamma.value[:, None, None] * normalised() + beta.value[:, None, None]
+    scale = gamma.value * invstd
+    shift = beta.value - mean * scale
+    out = x.value * scale[:, None, None]
+    out += shift[:, None, None]
 
     def backward(g):
-        xhat = normalised()
+        xhat = (x.value - mean[:, None, None]) * invstd[:, None, None]
         if gamma.requires_grad:
             accumulate(gamma, (g * xhat).sum(axis=axes))
         if beta.requires_grad:

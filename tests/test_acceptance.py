@@ -123,6 +123,15 @@ def _op_cases(rng):
     rd = readout((1, 3, 8, 8))
     cases.append(("conv2d_d2", {"x": xd, "w": w},
                   lambda n: rd(nnops.conv2d(n["x"], n["w"], dilation=2))))
+    # 1x1 kernels take their own path; their own generator keeps the draws
+    # of every other case unchanged
+    g11 = np.random.default_rng(11)
+    x11, w11, b11 = (g11.normal(size=shape) for shape in [(2, 3, 5, 5), (4, 3, 1, 1), (4,)])
+    for stride, side in ((1, 5), (2, 3)):
+        t11 = g11.normal(size=(2, 4, side, side))
+        cases.append((f"conv2d_1x1_s{stride}", {"x": x11, "w": w11, "b": b11},
+                      lambda n, s=stride, t=t11: (nnops.conv2d(n["x"], n["w"], n["b"],
+                                                               stride=s) * t).sum()))
 
     xb = rng.normal(size=(2, 2, 3, 3))
     gamma = rng.uniform(0.5, 1.5, size=(2,))

@@ -137,6 +137,37 @@ class TestSynthAndLabels:
         assert distance.shape == (3, 64, 64)
         assert distance.max() <= 1.0 + 1e-6
 
+    @staticmethod
+    def synth_dataset(tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--config", str(write_config(tmp_path, out_dir=str(ds)))]) == 0
+        capsys.readouterr()
+        return ds
+
+    def test_derive_labels_one_class_count_per_dataset(self, tmp_path, capsys):
+        """Without --classes, a mask that lacks the dataset's largest class id
+        still gets one plane per class of the dataset."""
+        ds = self.synth_dataset(tmp_path, capsys)
+        mask = fileio.read_pgm(ds / "scene_0001.pgm")
+        assert mask.max() == 2
+        fileio.write_pgm(ds / "scene_0001.pgm", np.where(mask == 2, 0, mask).astype(np.uint8))
+        out = tmp_path / "labels"
+        assert main(["derive-labels", "--data", str(ds), "--out", str(out)]) == 0
+        for i in range(4):
+            for name in ("onehot", "boundary", "distance"):
+                assert fileio.read_nct(out / f"record_{i:04d}.{name}.nct").shape == (3, 64, 64)
+
+    def test_derive_labels_data_error_writes_nothing(self, tmp_path, capsys):
+        ds = self.synth_dataset(tmp_path, capsys)
+        out = tmp_path / "labels"
+        code = main(["derive-labels", "--data", str(ds), "--out", str(out),
+                     "--classes", "2", "--workers", "2"])  # the masks hold ids 0..2
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith('error kind=data msg="mask contains class ids [2]'), err
+        assert not out.exists()
+
     def test_derive_labels_missing_dataset(self, tmp_path, capsys):
         code = main(["derive-labels", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x")])

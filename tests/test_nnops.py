@@ -39,6 +39,14 @@ class TestConv2d:
                                             dilation=dilation) ** 2).sum(),
                  [x, w, b])
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_1x1_gradients(self, rng, stride):
+        x = rng.normal(size=(2, 3, 9, 7))
+        w = rng.normal(size=(4, 3, 1, 1)) * 0.5
+        b = rng.normal(size=(4,))
+        fd_check(lambda xn, wn, bn: (conv2d(xn, wn, bn, stride=stride) ** 2).sum(),
+                 [x, w, b])
+
     def test_same_padding_shapes(self, rng):
         x = parameter(rng.normal(size=(1, 2, 16, 16)))
         w = parameter(rng.normal(size=(5, 2, 3, 3)))
@@ -109,7 +117,8 @@ class TestConv2dReference:
     TOL = {np.float64: 1e-10, np.float32: 1e-5}
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", [(2, 3, 9, 7), (1, 4, 8, 5)])
+    # (4, 128, 2, 2): a wide 1x1 GEMM sums in another order than per-tap did
+    @pytest.mark.parametrize("shape", [(2, 3, 9, 7), (1, 4, 8, 5), (4, 128, 2, 2)])
     @pytest.mark.parametrize("dilation", [1, 2, 3, 15, 31])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3])
@@ -155,6 +164,19 @@ class TestConv2dReference:
         backprop(out, rng.normal(size=out.shape))  # f64
         assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
         assert w.grad.dtype == np.float64 and w.grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_1x1_dtype_and_layout_with_f64_upstream(self, rng, stride):
+        """The head logits are 1x1 convolutions: the same contract on the GEMM path."""
+        x = upstream(rng.normal(size=(2, 3, 9, 7)).astype(np.float32))
+        w = upstream(rng.normal(size=(4, 3, 1, 1)).astype(np.float32))
+        b = upstream(rng.normal(size=4).astype(np.float32))
+        out = conv2d(x, w, b, stride=stride)
+        assert out.dtype == np.float32 and out.value.flags.c_contiguous
+        backprop(out, rng.normal(size=out.shape))  # f64
+        assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
+        assert w.grad.dtype == np.float64 and w.grad.flags.c_contiguous
+        assert b.grad.dtype == np.float64
 
 
 class TestBatchNorm:
@@ -232,6 +254,24 @@ class TestBatchNorm:
         assert np.array_equal(grads[0][0], grads[1][0])
         assert np.array_equal(grads[0][1], grads[1][1])
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_f32_output_matches_textbook_formula(self, rng, training):
+        """The scale-and-shift forward against gamma*(x - mean)/sqrt(var + eps)
+        + beta in f64, on an input whose mean is larger than its spread."""
+        x = rng.normal(loc=3.0, scale=2.0, size=(2, 3, 8, 8)).astype(np.float32)
+        gamma, beta = (a.astype(np.float32) for a in self._params(rng, 3))
+        rm = rng.normal(loc=3.0, size=3).astype(np.float32)
+        rv = rng.uniform(2.0, 6.0, size=3).astype(np.float32)
+        x64 = x.astype(np.float64)
+        mean, var = ((x64.mean(axis=(0, 2, 3)), x64.var(axis=(0, 2, 3))) if training
+                     else (rm.astype(np.float64), rv.astype(np.float64)))
+        want = (gamma[:, None, None] * (x64 - mean[:, None, None])
+                / np.sqrt(var[:, None, None] + 1e-5) + beta[:, None, None])
+        out = batch_norm(parameter(x), parameter(gamma), parameter(beta), rm, rv,
+                         training=training)
+        assert out.dtype == np.float32
+        assert rel_err(out.value, want) <= 1e-6
+
     def test_population_of_one_rejected(self):
         x = parameter(np.ones((1, 2, 1, 1)))
         with pytest.raises(ValueError, match="population"):
@@ -288,6 +328,18 @@ class TestUpsampleAndFriends:
     def test_sigmoid_gradients(self, rng):
         x = rng.normal(size=(5,))
         fd_check(lambda xn: (sigmoid(xn) ** 2).sum(), [x])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_expit_and_stays_in_range(self, dtype):
+        from scipy.special import expit
+        x = np.concatenate([[-100.0, -30.0, 30.0, 100.0],
+                            np.linspace(-20.0, 20.0, 401)]).astype(dtype)
+        with np.errstate(all="raise"):
+            out = sigmoid(parameter(x)).value
+        assert out.dtype == dtype
+        assert np.isfinite(out).all() and out.min() >= 0.0 and out.max() <= 1.0
+        assert np.abs(out - expit(x)).max() <= 2 * np.finfo(dtype).eps
+        assert out[0] == 0.0 and out[3] == 1.0
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = parameter(rng.normal(size=(2, 5, 3, 3)) * 10.0)
