@@ -8,9 +8,10 @@ Builds a d6 trunk with 32 initial filters and the conditioned multitask
 
 It prints the wall seconds of each phase, the absolute sum and a SHA-256
 digest of every parameter gradient (so two builds can be checked for
-bit-identical gradients), and the process's peak RSS from ``getrusage``
-after the train step and at the end.  A run takes about 10 s and 2-4 GB;
-pin BLAS to one thread for comparable numbers:
+bit-identical gradients), the process's peak RSS from ``getrusage`` after
+the train step and at the end, and the minor page faults (``ru_minflt``)
+taken during the train step and during the eval window.  A run takes about
+10 s and 2 GB; pin BLAS to one thread for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/width_probe.py
 """
@@ -39,6 +40,10 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main() -> None:
     scene = generate(SceneSpec(size=SIZE, n_classes=CLASSES, n_images=1, seed=SEED))[0]
     record = derive_record(scene.image, scene.mask, CLASSES)
@@ -47,11 +52,11 @@ def main() -> None:
                         seed=SEED)
     params = model.parameters()
 
-    t0 = time.perf_counter()
+    f0, t0 = minor_faults(), time.perf_counter()
     loss, _ = batch_loss(model, [record], "tanimoto-complement")
     t1 = time.perf_counter()
     loss.backward()
-    t2 = time.perf_counter()
+    t2, f1 = time.perf_counter(), minor_faults()
     step_rss = peak_rss_mb()
 
     digest = hashlib.sha256()
@@ -59,9 +64,9 @@ def main() -> None:
         digest.update(np.ascontiguousarray(p.grad).tobytes())
     grad_abs_sum = sum(float(np.abs(p.grad).sum(dtype=np.float64)) for p in params)
 
-    t3 = time.perf_counter()
+    f2, t3 = minor_faults(), time.perf_counter()
     model.predict(record.image[None])
-    t4 = time.perf_counter()
+    t4, f3 = time.perf_counter(), minor_faults()
 
     print(json.dumps({
         "loss": f"{loss.item():.17g}",
@@ -70,6 +75,7 @@ def main() -> None:
         "grad_abs_sum": f"{grad_abs_sum:.17g}", "grad_sha256": digest.hexdigest(),
         "peak_rss_mb_after_step": round(step_rss, 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
+        "minflt_train_step": f1 - f0, "minflt_eval_window": f3 - f2,
     }, indent=2))
 
 

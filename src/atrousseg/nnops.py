@@ -1,9 +1,10 @@
 """Neural-network primitives: convolution, normalisation, pooling, resampling.
 
 All operations take and return :class:`~atrousseg.autodiff.Node` instances and
-register backward closures on the recorded graph.  Every tensor crosses the
-API as NCHW (weights as OIHW); conv2d alone computes channels-last inside,
-and only for kernels wider than 1x1.
+register backward closures on the recorded graph.  Every tensor is NCHW
+(weights OIHW), inside the ops as well as across the API; conv2d lays each
+image's planes out as flat rows separated by zero gap columns, so that every
+kernel tap reads one contiguous window.
 """
 
 from __future__ import annotations
@@ -53,44 +54,35 @@ def softmax_channel(x) -> Node:
     return make_node(out, (x,), backward)
 
 
-def _live_spans(k: int, dilation: int, stride: int, size: int) -> list:
-    """Per kernel index along one axis: the (input, output) slices where
-    output pixel o reads input pixel o*stride + i*dilation - before inside the
-    unpadded plane, or None when every read lands in the padding."""
-    before = (k - 1) * dilation // 2
-    last = -(-size // stride) - 1
-    spans = []
-    for i in range(k):
-        off = i * dilation - before
-        lo, hi = max(0, -(off // stride)), min(last, (size - 1 - off) // stride)
-        spans.append((slice(lo * stride + off, hi * stride + off + 1, stride),
-                      slice(lo, hi + 1)) if lo <= hi else None)
-    return spans
-
-
 def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     """2-D cross-correlation with "same" padding.
 
-    Padding totals (k-1)*dilation per axis, split evenly with the extra
-    pixel on the trailing side, so the output spatial size is
-    ceil(H/stride) x ceil(W/stride) for stride in {1, 2}.
+    Kernels are square with an odd size k, and each side of each axis is
+    padded by (k-1)/2*dilation, so the output is ceil(H/stride) x ceil(W/stride).
 
-    Inputs, outputs and gradients are NCHW with OIHW weights.  A 1x1 kernel
-    is one GEMM on the NCHW planes (see ``_conv1x1``).  For wider kernels the
-    input is transposed once to channels-last and each kernel tap adds one
-    small matmul into the output pixels whose input pixel lies inside the
-    plane.  The padding is never built: a tap whose reads all land in it
-    (common for large dilations on small planes) is skipped, forward and
-    backward.  Backward recomputes the channels-last input ``xt`` from the
-    input node's NCHW value instead of keeping a second copy alive.
+    Inputs, outputs and gradients are NCHW with OIHW weights, and every
+    kernel size runs on one layout: per image and channel, one flat row of
+    ``gap`` zeros and then every image row followed by ``gap`` zeros, where
+    ``gap`` is the largest horizontal offset of a live tap.  With gap 0 (a
+    1x1 kernel, or a plane too narrow for the side taps) the NCHW planes are
+    used as they are; otherwise they are copied once.  A tap's shifted read
+    is then one contiguous window of the flat input, so each tap is one GEMM
+    of its (cout, cin) weights with that window, added into the output rows
+    whose input rows lie inside the plane; the gap columns of the output are
+    cropped once.  Vertical padding is never built, and a tap whose reads
+    all land in the padding (common for large dilations on small planes) is
+    skipped, forward and backward.  Stride 2 reads the even input pixels of
+    a 1x1 kernel and keeps the even output pixels of the stride-1 result of
+    a wider one.  Backward rebuilds the flat input from the input node's
+    value instead of keeping it alive.
     """
     x, w = as_node(x), as_node(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input/weight, got {x.shape} and {w.shape}")
-    n, cin, h, wid = x.shape
-    cout, wcin, kh, kw = w.shape
-    if kh != kw:
-        raise ShapeError(f"conv2d kernels must be square, got {w.shape}")
+    n, cin = x.shape[:2]
+    cout, wcin, k, kw = w.shape
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d kernels must be square with an odd size, got {w.shape}")
     if cin != wcin:
         raise ShapeError(
             f"conv2d channel mismatch: input has {cin} channels (shape {x.shape}) "
@@ -99,85 +91,93 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
         raise ValueError(f"conv2d stride must be 1 or 2, got {stride}")
     if dilation < 1:
         raise ValueError(f"conv2d dilation must be >= 1, got {dilation}")
-    if kh == 1:
-        return _conv1x1(x, w, b, stride)
 
-    k = kh
-    rows = _live_spans(k, dilation, stride, h)
-    cols = _live_spans(k, dilation, stride, wid)
-    # (i, j, input index, output index) of every live tap, on NHWC arrays
-    taps = [(i, j, (slice(None), r[0], c[0]), (slice(None), r[1], c[1]))
-            for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
+    # stride 2 subsamples a 1x1 kernel's input and a wider kernel's output
+    pre = stride if k == 1 else 1
+    step = stride // pre
+    xs = x.value[:, :, ::pre, ::pre]
+    h, wd = xs.shape[2:]
+    # (index, offset) of each tap along an axis, smallest offset first: the
+    # centre tap covers every output pixel.  A tap is live when some output
+    # pixel reads inside the plane through it.
+    axis = sorted(((i, (i - k // 2) * dilation) for i in range(k)), key=lambda t: abs(t[1]))
+    rows = [t for t in axis if abs(t[1]) < h]
+    cols = [t for t in axis if abs(t[1]) < wd]
+    gap = abs(cols[-1][1])
+    p = wd + gap
+    # (i, j, contiguous (cout, cin) weights, output start, input start,
+    # length) of every live tap's window on the flat rows
+    taps = [(i, j, np.ascontiguousarray(w.value[:, :, i, j]), gap + max(0, -di) * p,
+             gap + max(0, di) * p + dj, (h - abs(di)) * p - gap)
+            for i, di in rows for j, dj in cols]
 
-    def channels_last():
-        return np.ascontiguousarray(x.value.transpose(0, 2, 3, 1))
+    def crop(a, step):
+        """The (n, c, h, wd) pixels of flat rows a, every step-th one."""
+        return a[:, :, gap:].reshape(n, -1, h, p)[:, :, ::step, :wd:step]
 
-    xt = channels_last()
-    wt = np.ascontiguousarray(w.value.transpose(2, 3, 1, 0))  # (k, k, cin, cout)
-    out = np.zeros((n, -(-h // stride), -(-wid // stride), cout),
-                   np.result_type(x.value, w.value))
-    for i, j, src, dst in taps:
-        out[dst] += xt[src] @ wt[i, j]
+    def flat(a, step):
+        """The flat rows that crop(rows, step) reads a from, zero elsewhere
+        (a itself, reshaped, when there are no zeros to add)."""
+        if not gap and step == 1:
+            return a.reshape(n, -1, h * wd)
+        f = np.zeros((n, a.shape[1], gap + h * p), a.dtype)
+        crop(f, step)[...] = a
+        return f
+
+    acc = np.empty((n, cout, gap + h * p), np.result_type(xs, w.value))
+    _tap_gemms(acc, [(m, o, a, size) for _, _, m, o, a, size in taps], flat(xs, 1))
+    out = np.ascontiguousarray(crop(acc, step))
     if b is not None:
         b = as_node(b)
-        out += b.value
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        out += b.value[:, None, None]
 
     def backward(g):
-        xt = channels_last()
-        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+        gp = flat(g, step)
         if w.requires_grad:
-            gw = np.zeros(w.shape, np.result_type(g, xt))
-            for i, j, src, dst in taps:
-                gw[:, :, i, j] = gt[dst].reshape(-1, cout).T @ xt[src].reshape(-1, cin)
-            accumulate(w, gw)
+            accumulate(w, _tap_weight_grad(w.shape, taps, gp, flat(xs, 1)))
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             # x's dtype, even when g is wider (f64 head gradients on f32 trunks)
-            gxt = np.zeros_like(xt)
-            for i, j, src, dst in taps:
-                gxt[src] += gt[dst] @ wt[i, j].T
-            accumulate(x, np.ascontiguousarray(gxt.transpose(0, 3, 1, 2)))
+            gxp = np.empty((n, cin, gap + h * p), x.dtype)
+            _tap_gemms(gxp, [(m.T, a, o, size) for _, _, m, o, a, size in taps], gp)
+            gx = np.ascontiguousarray(crop(gxp, 1))
+            if pre > 1:
+                gx, strided = np.zeros_like(x.value), gx
+                gx[:, :, ::pre, ::pre] = strided
+            accumulate(x, gx)
 
     parents = (x, w) if b is None else (x, w, b)
     return make_node(out, parents, backward)
 
 
-def _conv1x1(x: Node, w: Node, b, stride: int) -> Node:
-    """conv2d for a 1x1 kernel: w[:, :, 0, 0] @ the (strided) pixels of each
-    image, on NCHW with no transpose.  Backward is wT @ g per image for x
-    (scattered back to the strided pixels) and g @ pixelsT per image, summed
-    over the batch, for w."""
-    n, cin, h, wid = x.shape
-    ho, wo = -(-h // stride), -(-wid // stride)
-    wm = w.value[:, :, 0, 0]
+def _tap_weight_grad(shape, taps, g, src) -> np.ndarray:
+    """Weight gradient of shape (cout, cin, k, k): for each of conv2d's taps
+    (i, j, _, d, s, L), the sum over images of g[:, :, d:d+L] @ src[:, :, s:s+L].T."""
+    gw = np.zeros(shape, np.result_type(g, src))
+    for i, j, _, d, s, size in taps:
+        gw[:, :, i, j] = np.matmul(g[:, :, d:d + size],
+                                   src[:, :, s:s + size].transpose(0, 2, 1)).sum(axis=0)
+    return gw
 
-    def pixels():
-        return x.value[:, :, ::stride, ::stride].reshape(n, cin, ho * wo)
 
-    out = np.matmul(wm, pixels())
-    if b is not None:
-        b = as_node(b)
-        out += b.value[:, None]
-
-    def backward(g):
-        g = g.reshape(n, -1, ho * wo)
-        if w.requires_grad:
-            gw = np.matmul(g, pixels().transpose(0, 2, 1)).sum(axis=0)
-            accumulate(w, gw.reshape(w.shape))
-        if b is not None and b.requires_grad:
-            accumulate(b, g.sum(axis=(0, 2)))
-        if x.requires_grad:
-            # x's dtype, even when g is wider (f64 head gradients on f32 trunks)
-            gx = np.matmul(wm.T, g).astype(x.dtype, copy=False).reshape(n, cin, ho, wo)
-            if stride > 1:
-                gx, strided = np.zeros_like(x.value), gx
-                gx[:, :, ::stride, ::stride] = strided
-            accumulate(x, gx)
-
-    parents = (x, w) if b is None else (x, w, b)
-    return make_node(out.reshape(n, -1, ho, wo), parents, backward)
+def _tap_gemms(dst, windows, src) -> None:
+    """Set dst to the sum over windows (m, d, s, L) of m @ src[:, :, s:s+L],
+    per image, added into dst[:, :, d:d+L]; dst is zero outside them.  The
+    first product is written into dst in place, the others through one
+    reused buffer."""
+    m, d, s, size = windows[0]
+    dst[:, :, :d] = 0
+    dst[:, :, d + size:] = 0
+    np.matmul(m, src[:, :, s:s + size], out=dst[:, :, d:d + size])
+    if len(windows) == 1:
+        return
+    n, c = dst.shape[:2]
+    buf = np.empty(n * c * size, np.result_type(m, src))  # the longest window is first
+    for m, d, s, size in windows[1:]:
+        prod = buf[:n * c * size].reshape(n, c, size)
+        np.matmul(m, src[:, :, s:s + size], out=prod)
+        dst[:, :, d:d + size] += prod
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,

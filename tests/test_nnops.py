@@ -67,6 +67,12 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channel"):
             conv2d(x, w)
 
+    def test_rejects_even_kernel(self, rng):
+        x = parameter(rng.normal(size=(1, 1, 8, 8)))
+        w = parameter(rng.normal(size=(1, 1, 2, 2)))
+        with pytest.raises(ShapeError, match="odd"):
+            conv2d(x, w)
+
     def test_rejects_bad_stride(self, rng):
         x = parameter(rng.normal(size=(1, 1, 8, 8)))
         w = parameter(rng.normal(size=(1, 1, 3, 3)))
@@ -123,6 +129,18 @@ class TestConv2dReference:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3])
     def test_matches_im2col(self, rng, k, stride, dilation, shape, dtype):
+        self.check_against_im2col(rng, k, stride, dilation, shape, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 13), (2, 3, 13, 4)])
+    def test_side_taps_live_on_one_axis_only(self, rng, shape, stride, dtype):
+        """Dilation 6 keeps the side taps along the 13-pixel axis only: a wide
+        plane gets a 6-column gap and one row of taps, a tall one three rows
+        of taps and no gap."""
+        self.check_against_im2col(rng, 3, stride, 6, shape, dtype)
+
+    def check_against_im2col(self, rng, k, stride, dilation, shape, dtype):
         x = rng.normal(size=shape).astype(dtype)
         w = rng.normal(size=(5, shape[1], k, k)).astype(dtype)
         b = rng.normal(size=5).astype(dtype)
@@ -154,12 +172,14 @@ class TestConv2dReference:
         gw3[:, :, 1, 1] = 0.0
         assert not gw3.any()
 
-    def test_dtype_and_layout_with_f64_upstream(self, rng):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dtype_and_layout_with_f64_upstream(self, rng, stride):
         """The cmtsk heads feed f64 gradients into f32 convolutions: the input
-        gradient stays f32 and the weight gradient widens, as tensordot did."""
+        gradient stays f32 and the weight gradient widens, as tensordot did.
+        At stride 2 the output is a slice of the stride-1 plane."""
         x = upstream(rng.normal(size=(2, 3, 9, 7)).astype(np.float32))
         w = upstream(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
-        out = conv2d(x, w, dilation=3)
+        out = conv2d(x, w, stride=stride, dilation=3)
         assert out.dtype == np.float32 and out.value.flags.c_contiguous
         backprop(out, rng.normal(size=out.shape))  # f64
         assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
