@@ -10,8 +10,12 @@ It prints the wall seconds of each phase, the absolute sum and a SHA-256
 digest of every parameter gradient (so two builds can be checked for
 bit-identical gradients), the process's peak RSS from ``getrusage`` after
 the train step and at the end, and the minor page faults (``ru_minflt``)
-taken during the train step and during the eval window.  A run takes about
-10 s and 2 GB; pin BLAS to one thread for comparable numbers:
+taken during the train step and during the eval window.  The train step
+runs under perfbench's tracer (``perfbench/optrace.py``), which gives the
+per-op table ``train_step_ops``: calls, forward and backward ms and share of
+the train step for each nnops op, each conv2d class and the autodiff
+arithmetic.  A run takes about 10 s and 2 GB; pin BLAS to one thread for
+comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/width_probe.py
 """
@@ -23,6 +27,7 @@ import json
 import resource
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +35,9 @@ from atrousseg.labels import derive_record
 from atrousseg.models import ModelSpec, build_model
 from atrousseg.synth import SceneSpec, generate
 from atrousseg.trainer import batch_loss
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import optrace  # noqa: E402
 
 FILTERS, SIZE, SEED, CLASSES = 32, 256, 0, 6
 
@@ -44,6 +52,22 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def op_table(tracer: optrace.Tracer, step_s: float) -> dict:
+    """Calls, forward and backward ms and train-step share of each traced op."""
+    metrics = optrace.layer_metrics(tracer, optrace.Tracer(), units=1,
+                                    unit_seconds=step_s, overhead_frac=0.0)
+    ops = ([f"nnops.{op}" for op in optrace.NN_OPS]
+           + [f"nnops.conv2d.{cls}" for cls in optrace.CONV_CLASSES] + ["autodiff.arith"])
+    table = {}
+    for op in ops:
+        if metrics[f"{op}.calls"]:
+            fwd, bwd = metrics[f"{op}.fwd_ms"], metrics[f"{op}.bwd_ms"]
+            table[op] = {"calls": int(metrics[f"{op}.calls"]),
+                         "fwd_ms": round(fwd, 1), "bwd_ms": round(bwd, 1),
+                         "step_share": round((fwd + bwd) / (step_s * 1e3), 3)}
+    return table
+
+
 def main() -> None:
     scene = generate(SceneSpec(size=SIZE, n_classes=CLASSES, n_images=1, seed=SEED))[0]
     record = derive_record(scene.image, scene.mask, CLASSES)
@@ -52,11 +76,13 @@ def main() -> None:
                         seed=SEED)
     params = model.parameters()
 
-    f0, t0 = minor_faults(), time.perf_counter()
-    loss, _ = batch_loss(model, [record], "tanimoto-complement")
-    t1 = time.perf_counter()
-    loss.backward()
-    t2, f1 = time.perf_counter(), minor_faults()
+    tracer = optrace.Tracer()
+    with tracer.installed():
+        f0, t0 = minor_faults(), time.perf_counter()
+        loss, _ = batch_loss(model, [record], "tanimoto-complement")
+        t1 = time.perf_counter()
+        loss.backward()
+        t2, f1 = time.perf_counter(), minor_faults()
     step_rss = peak_rss_mb()
 
     digest = hashlib.sha256()
@@ -76,6 +102,7 @@ def main() -> None:
         "peak_rss_mb_after_step": round(step_rss, 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "minflt_train_step": f1 - f0, "minflt_eval_window": f3 - f2,
+        "train_step_ops": op_table(tracer, t2 - t0),
     }, indent=2))
 
 

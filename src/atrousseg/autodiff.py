@@ -233,8 +233,10 @@ def add(a, b) -> Node:
     out = a.value + b.value
 
     def backward(g):
-        accumulate(a, _unbroadcast(g, a.value.shape))
-        accumulate(b, _unbroadcast(g, b.value.shape))
+        if a.requires_grad:
+            accumulate(a, _unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            accumulate(b, _unbroadcast(g, b.value.shape))
 
     return make_node(out, (a, b), backward)
 
@@ -244,8 +246,10 @@ def mul(a, b) -> Node:
     out = a.value * b.value
 
     def backward(g):
-        accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.requires_grad:
+            accumulate(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
     return make_node(out, (a, b), backward)
 
@@ -255,8 +259,10 @@ def div(a, b) -> Node:
     out = a.value / b.value
 
     def backward(g):
-        accumulate(a, _unbroadcast(g / b.value, a.value.shape))
-        accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
+        if a.requires_grad:
+            accumulate(a, _unbroadcast(g / b.value, a.value.shape))
+        if b.requires_grad:
+            accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
 
     return make_node(out, (a, b), backward)
 

@@ -185,56 +185,77 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     """Per-channel batch normalisation over (N, H, W).
 
     In training mode, batch statistics normalise the input and the running
-    buffers are updated in place as momentum*old + (1-momentum)*batch.
-    Eval mode normalises with the running buffers.  Forward applies
-    gamma*(x - mean)*invstd + beta as one per-channel scale and shift of x.
-    Backward recomputes the normalised input ``xhat`` from the input node's
-    value instead of keeping it alive.
+    buffers are updated in place as momentum*old + (1-momentum)*batch.  The
+    forward centres x once, takes the variance from each channel's dot
+    product of the centred input with itself, and scales and shifts the
+    centred input in place.  Eval mode normalises with the running buffers,
+    as one per-channel scale and shift of x.
+
+    Backward recomputes the centred input ``d = x - mean`` from the input
+    node's value instead of keeping it alive.  Two per-channel sums, sum(g)
+    and sum(g*d), give every gradient (Ioffe & Szegedy 2015,
+    arXiv:1502.03167): the input gradient is the per-channel affine map
+    a*g + b*d + c, where a = gamma*invstd, and b and c are zero in eval mode.
     """
     x, gamma, beta = as_node(x), as_node(gamma), as_node(beta)
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got shape {x.shape}")
-    c = x.shape[1]
     axes = (0, 2, 3)
     m = x.shape[0] * x.shape[2] * x.shape[3]
+
+    def centred(dtype):
+        return np.subtract(x.value, mean[:, None, None], dtype=dtype)
+
+    def channel_dot(u, v):
+        # one BLAS dot per image row, then a pairwise sum over images and
+        # rows: np.sum's accuracy without a product temporary
+        return np.vecdot(u, v).sum(axis=(0, 2))
 
     if training:
         if m < 2:
             raise ValueError(
                 "batch_norm: train-mode population per channel is 1; variance undefined")
         mean = x.value.mean(axis=axes)
-        var = x.value.var(axis=axes)
+        out = centred(x.dtype)
+        var = channel_dot(out, out) / m
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mean
         running_var *= momentum
         running_var += (1.0 - momentum) * var
     else:
-        # a copy: backward recomputes xhat from it, and a train-mode call
-        # made before that backward updates running_mean in place
+        # a copy: backward recomputes d from it, and a train-mode call made
+        # before that backward updates running_mean in place
         mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype, copy=False)
 
     invstd = 1.0 / np.sqrt(var + eps)
     scale = gamma.value * invstd
-    shift = beta.value - mean * scale
-    out = x.value * scale[:, None, None]
-    out += shift[:, None, None]
+    if training:
+        out *= scale[:, None, None]
+        out += beta.value[:, None, None]
+    else:
+        out = x.value * scale[:, None, None]
+        out += (beta.value - mean * scale)[:, None, None]
 
     def backward(g):
-        xhat = (x.value - mean[:, None, None]) * invstd[:, None, None]
+        d = centred(np.result_type(x.value, g))
+        gsum, gdsum = g.sum(axis=axes), channel_dot(g, d)
         if gamma.requires_grad:
-            accumulate(gamma, (g * xhat).sum(axis=axes))
+            accumulate(gamma, invstd * gdsum)
         if beta.requires_grad:
-            accumulate(beta, g.sum(axis=axes))
-        if x.requires_grad:
-            gxhat = g * gamma.value[:, None, None]
-            if training:
-                s1 = gxhat.sum(axis=axes, keepdims=True)
-                s2 = (gxhat * xhat).sum(axis=axes, keepdims=True)
-                gx = (invstd[:, None, None] / m) * (m * gxhat - s1 - xhat * s2)
-            else:
-                gx = gxhat * invstd[:, None, None]
-            accumulate(x, gx)
+            accumulate(beta, gsum)
+        if not x.requires_grad:
+            return
+        if not training:
+            accumulate(x, g * scale[:, None, None])
+            return
+        # a*g + b*d + c with b = -a*invstd**2*gdsum/m and c = -a*gsum/m,
+        # built in d as a*(g + (b/a)*d + c/a)
+        d *= (-invstd * invstd * gdsum / m)[:, None, None]
+        d += g
+        d -= (gsum / m)[:, None, None]
+        d *= scale[:, None, None]
+        accumulate(x, d)
 
     return make_node(out, (x, gamma, beta), backward)
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrousseg.autodiff import (Node, as_node, constant, is_grad_enabled,
-                                no_grad, parameter)
+from atrousseg.autodiff import (Node, add, as_node, constant, div,
+                                is_grad_enabled, mul, no_grad, parameter)
 from conftest import numeric_gradient, rel_err
 
 TOL = 1e-7
@@ -149,6 +149,36 @@ class TestBroadcastGradients:
 
         gb = numeric_gradient(lambda v: ((a0 * v) ** 2).sum(), b0.copy())
         assert rel_err(b.grad, gb) < TOL
+
+
+class TestConstantOperands:
+    """add, mul and div compute no gradient for an operand that needs none;
+    the other operand's gradient is the same expression as before, bit for
+    bit."""
+
+    # op, then the parameter's gradient from upstream g, parameter value p
+    # and constant value c, with the parameter first and with it second
+    CASES = {
+        "add": (add, lambda g, p, c: g, lambda g, p, c: g),
+        "mul": (mul, lambda g, p, c: g * c, lambda g, p, c: g * c),
+        "div": (div, lambda g, p, c: g / c, lambda g, p, c: -g * c / (p * p)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("param_first", [True, False])
+    def test_constant_gets_no_grad_and_parameter_grad_unchanged(
+            self, rng, name, param_first):
+        op, grad_first, grad_second = self.CASES[name]
+        p0 = rng.uniform(0.5, 2.0, size=(3,)).astype(np.float32)
+        c0 = rng.uniform(0.5, 2.0, size=(2, 3))  # f64, broadcasts p
+        t = rng.normal(size=(2, 3))
+        p, c = parameter(p0), constant(c0)
+        out = op(p, c) if param_first else op(c, p)
+        (out * t).sum().backward()  # out's upstream gradient is t exactly
+        grad = grad_first if param_first else grad_second
+        assert c.grad is None
+        assert np.array_equal(p.grad, grad(t, p0, c0).sum(axis=0))
+        assert p.grad.dtype == np.float64
 
 
 class TestOpGradients:

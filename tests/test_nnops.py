@@ -199,6 +199,57 @@ class TestConv2dReference:
         assert b.grad.dtype == np.float64
 
 
+def bn_errors(rng, shape, training, g_dtype=np.float32, eps=1e-5):
+    """Run batch_norm forward and backward on f32 inputs whose mean is larger
+    than their spread, and measure it against the f64 textbook formula.
+
+    Returns the max relative errors of out, the updated running_var, gx and
+    gbeta; ggamma's error per channel relative to sum |g * xhat| (the sum
+    itself cancels); and the dtypes of out, gx, ggamma and gbeta.
+    """
+    c, axes = shape[1], (0, 2, 3)
+    x = rng.normal(loc=3.0, scale=2.0, size=shape).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, size=c).astype(np.float32)
+    beta = rng.normal(size=c).astype(np.float32)
+    rm = rng.normal(loc=3.0, size=c).astype(np.float32)
+    rv = rng.uniform(2.0, 6.0, size=c).astype(np.float32)
+    g = rng.normal(size=shape).astype(g_dtype)
+
+    x64, g64, gamma64 = (a.astype(np.float64) for a in (x, g, gamma))
+    if training:
+        mean, var = x64.mean(axis=axes), x64.var(axis=axes)
+    else:
+        mean, var = rm.astype(np.float64), rv.astype(np.float64)
+    invstd = (1.0 / np.sqrt(var + eps))[:, None, None]
+    xhat = (x64 - mean[:, None, None]) * invstd
+    want_out = gamma64[:, None, None] * xhat + beta[:, None, None]
+    gxhat = g64 * gamma64[:, None, None]
+    if training:
+        m = x.size // c
+        want_gx = invstd / m * (m * gxhat - gxhat.sum(axis=axes, keepdims=True)
+                                - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
+        want_rv = 0.9 + 0.1 * var
+    else:
+        want_gx, want_rv = gxhat * invstd, rv
+    want_ggamma = (g64 * xhat).sum(axis=axes)
+
+    xn, gn, bn = parameter(x), parameter(gamma), parameter(beta)
+    running_var = rv.copy() if not training else np.ones(c, np.float32)
+    running_mean = rm.copy() if not training else np.zeros(c, np.float32)
+    out = batch_norm(xn, gn, bn, running_mean, running_var, training=training)
+    out_value = out.value.copy()
+    (out * g).sum().backward()  # out's upstream gradient is g exactly
+    return {
+        "out": rel_err(out_value, want_out),
+        "running_var": rel_err(running_var, want_rv),
+        "gx": rel_err(xn.grad, want_gx),
+        "gbeta": rel_err(bn.grad, g64.sum(axis=axes)),
+        "ggamma": float((np.abs(gn.grad - want_ggamma)
+                         / np.abs(g64 * xhat).sum(axis=axes)).max()),
+        "dtypes": tuple(str(a.dtype) for a in (out_value, xn.grad, gn.grad, bn.grad)),
+    }
+
+
 class TestBatchNorm:
     def _params(self, rng, c):
         gamma = rng.uniform(0.5, 1.5, size=c)
@@ -291,6 +342,40 @@ class TestBatchNorm:
                          training=training)
         assert out.dtype == np.float32
         assert rel_err(out.value, want) <= 1e-6
+
+    # Bounds of the three accuracy tests below: twice the largest error the
+    # previous kernel (explicit xhat, np.var, product-then-sum reductions)
+    # made over seeds 0-49 of bn_errors' recipe (seeds 0-5 at 256 x 256).
+    @pytest.mark.parametrize("training,bounds", [
+        (True, {"gx": 4e-7, "gbeta": 1e-6, "ggamma": 1.1e-7}),
+        (False, {"gx": 2.7e-7, "gbeta": 1e-6, "ggamma": 7.4e-8}),
+    ], ids=["train", "eval"])
+    def test_f32_gradients_match_textbook_formula(self, rng, training, bounds):
+        """gx, ggamma and gbeta against the f64 formula of Ioffe & Szegedy
+        2015, on an input whose mean is larger than its spread."""
+        err = bn_errors(rng, (2, 3, 8, 8), training)
+        for key, bound in bounds.items():
+            assert err[key] <= bound, (key, err[key])
+
+    @pytest.mark.parametrize("training,bounds", [
+        (True, {"out": 2.7e-7, "running_var": 1.1e-7, "gx": 3.6e-7, "ggamma": 2.5e-9}),
+        (False, {"out": 2.4e-7, "running_var": 0.0, "gx": 2.5e-7, "ggamma": 1.4e-9}),
+    ], ids=["train", "eval"])
+    def test_large_plane_accuracy(self, rng, training, bounds):
+        """A 256 x 256 plane puts 262,144 values per channel into every
+        reduction; eval mode leaves running_var exactly as it was."""
+        err = bn_errors(rng, (4, 4, 256, 256), training)
+        for key, bound in bounds.items():
+            assert err[key] <= bound, (key, err[key])
+
+    @pytest.mark.parametrize("training,bound", [(True, 2.2e-7), (False, 1.6e-7)],
+                             ids=["train", "eval"])
+    def test_f64_upstream_gradient_keeps_dtypes(self, rng, training, bound):
+        """An f64 upstream gradient on an f32 input gives f64 gradients for
+        x, gamma and beta, and the output stays f32."""
+        err = bn_errors(rng, (2, 3, 8, 8), training, g_dtype=np.float64)
+        assert err["dtypes"] == ("float32", "float64", "float64", "float64")
+        assert err["gx"] <= bound
 
     def test_population_of_one_rejected(self):
         x = parameter(np.ones((1, 2, 1, 1)))
