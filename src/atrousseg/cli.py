@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loss-field", help="sample a loss surface on [0,1]^2")
     p.add_argument("--loss", required=True, choices=losses.LOSS_IDS)
-    p.add_argument("--gt", default="1,0", help="ground-truth pair, e.g. 1,0")
+    p.add_argument("--gt", default="1,0", help="ground-truth pair in [0, 1], e.g. 1,0")
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--out", required=True, help="CSV path")
     p.set_defaults(func=cmd_loss_field)

@@ -4,7 +4,10 @@ multitask objective, and the 2-D analytic field sampler.
 All coefficients are similarities in [0, 1] (1 = perfect agreement); the
 training objective is ``1 - coefficient``.  Every ratio is smoothed by
 adding ``eps`` to numerator and denominator, which also fixes the value of
-empty/empty class pairs at 1 (no penalty).
+empty/empty class pairs at 1 (no penalty).  Each ratio is linear in five
+sums, those of p, l, p*l, p^2 and l^2, and so is its complement's: one
+closed form, ``_value_partials``, gives the training op and the field
+sampler their values and partials, with no complement tensor built.
 """
 
 from __future__ import annotations
@@ -14,94 +17,118 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, as_node
+from .autodiff import Node, ShapeError, accumulate, as_node, make_node
 
 EPS = 1e-5
 
 LOSS_IDS = ("d1", "d2", "tanimoto",
             "d1-complement", "d2-complement", "tanimoto-complement")
 
+# (A + eps) / (B + eps): the coefficients of A (first row) and B (second
+# row) in the five sums (sum p, sum l, sum p*l, sum p^2, sum l^2).
+_RATIOS = {"d1": ((0, 0, 2, 0, 0), (1, 1, 0, 0, 0)),
+           "d2": ((0, 0, 2, 0, 0), (0, 0, 0, 1, 1)),
+           "tanimoto": ((0, 0, 1, 0, 0), (0, 0, -1, 1, 1))}
 
-def _class_sums(x: Node) -> Node:
-    # Sum over every axis except the class axis (axis 1).
-    axes = (0,) + tuple(range(2, x.ndim))
-    return x.sum(axis=axes)
+# Over n elements the five sums of (1 - p, 1 - l) are n + _COMPLEMENT @ sums.
+_COMPLEMENT = np.array([[-1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [-1, -1, 1, 0, 0],
+                        [-2, 0, 0, 1, 0], [0, -2, 0, 0, 1]], dtype=np.float64)
 
 
-def _weights(p: Node, weights) -> Node | None:
+def _parse(loss_id: str) -> tuple[str, bool]:
+    """Split a loss id into its base ratio and whether it has the complement."""
+    base = loss_id[:-11] if loss_id.endswith("-complement") else loss_id
+    if base not in _RATIOS:
+        raise ValueError(f"unknown loss id {loss_id!r}; choose from {LOSS_IDS}")
+    return base, base != loss_id
+
+
+def _value_partials(loss_id: str, s, n, eps: float):
+    """Similarity ``loss_id`` of the five sums ``s`` (axis 0) over ``n``
+    elements, and its partial derivatives in those sums (same shape as s)."""
+    base, complement = _parse(loss_id)
+    if complement:
+        v, ds = _value_partials(base, s, n, eps)
+        vc, dsc = _value_partials(base, n + np.tensordot(_COMPLEMENT, s, 1), n, eps)
+        return (v + vc) / 2.0, (ds + np.tensordot(_COMPLEMENT.T, dsc, 1)) / 2.0
+    coef = np.array(_RATIOS[base], dtype=np.float64)
+    a, b = np.tensordot(coef, s, 1) + eps
+    value = a / b
+    coef = coef.reshape(coef.shape + (1,) * value.ndim)
+    return value, (coef[0] - value * coef[1]) / b
+
+
+def _similarity(loss_id: str, p, l, weights, eps: float) -> Node:
+    """One differentiable op: the sums are pooled over all elements, or per
+    class (axis 1) and weighted; the gradient in p is the per-class affine
+    map d(sum p) + d(sum p*l)*l + 2*d(sum p^2)*p, returned in p's dtype."""
+    p, l = as_node(p), as_node(l).value
+    if l.shape != p.shape:
+        raise ShapeError(f"prediction shape {p.shape} and target shape {l.shape} differ")
     if weights is None:
-        return None
-    w = np.asarray(weights, dtype=np.float64)
-    if p.ndim < 2:
-        raise ValueError("weighted losses need a class axis (axis 1)")
-    if w.shape != (p.shape[1],):
-        raise ValueError(
-            f"weight vector has length {w.shape}, expected ({p.shape[1]},)")
-    return Node(w)
+        w, view = np.ones(1), (1, 1, -1)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if p.ndim < 2:
+            raise ValueError("weighted losses need a class axis (axis 1)")
+        if w.shape != (p.shape[1],):
+            raise ValueError(f"weight vector has length {w.shape}, expected ({p.shape[1]},)")
+        view = p.shape[:2] + (-1,)
+    p3, l3 = p.value.reshape(view), l.reshape(view)
+    pf, lf = (x.astype(np.float64, copy=False) for x in (p3, l3))
+    sums = np.stack([pf.sum(axis=(0, 2)), lf.sum(axis=(0, 2))]
+                    + [np.vecdot(x, y).sum(axis=0) for x, y in ((pf, lf), (pf, pf), (lf, lf))])
+    value, ds = _value_partials(loss_id, sums @ w, pf.shape[0] * pf.shape[2] * w.sum(), eps)
+    coef = np.outer(ds[[0, 2, 3]] * [1.0, 1.0, 2.0], w)[:, None, :, None]
 
+    def backward(g):
+        # Evaluated in f64 and rounded once: in f32 the rounded coefficients
+        # and the cancelling terms cost up to 1.3 float32 eps of max|g|.
+        a, b, c = g * coef
+        gp = p3 * c
+        gp += l3 * b
+        gp += a
+        accumulate(p, gp.astype(p.dtype, copy=False).reshape(p.shape))
 
-def _pooled(w: Node | None, *terms: Node) -> Node:
-    """Sum the terms over all elements, or weight their class sums by ``w``.
-
-    The unweighted case is not unit weights: pooling per class first would
-    change the f32 rounding and would need a class axis.
-    """
-    first, *rest = (t.sum() if w is None else _class_sums(t) for t in terms)
-    total = sum(rest, first)
-    return total if w is None else (w * total).sum()
-
-
-def _ratio(num: Node, den: Node, eps: float) -> Node:
-    return (num + eps) / (den + eps)
+    return make_node(value, (p,), backward)
 
 
 def dice_d1(p, l, weights=None, eps: float = EPS) -> Node:
     """2*sum(p*l) / (sum(p) + sum(l)), optionally class-weighted."""
-    p, l = as_node(p), as_node(l)
-    w = _weights(p, weights)
-    return _ratio(2.0 * _pooled(w, p * l), _pooled(w, p, l), eps)
+    return _similarity("d1", p, l, weights, eps)
 
 
 def dice_d2(p, l, weights=None, eps: float = EPS) -> Node:
     """2*sum(p*l) / sum(p^2 + l^2), optionally class-weighted."""
-    p, l = as_node(p), as_node(l)
-    w = _weights(p, weights)
-    return _ratio(2.0 * _pooled(w, p * l), _pooled(w, p * p, l * l), eps)
+    return _similarity("d2", p, l, weights, eps)
 
 
 def tanimoto_d3(p, l, weights=None, eps: float = EPS) -> Node:
     """sum(p*l) / (sum(p^2 + l^2) - sum(p*l)), optionally class-weighted."""
-    p, l = as_node(p), as_node(l)
-    w = _weights(p, weights)
-    inter = _pooled(w, p * l)
-    return _ratio(inter, _pooled(w, p * p, l * l) - inter, eps)
-
-
-def with_complement(base):
-    """Average of ``base`` on (p, l) and on the element-wise complements.
-
-    The class weights, when given, are shared by both halves.
-    """
-
-    def wrapped(p, l, weights=None, eps: float = EPS) -> Node:
-        p, l = as_node(p), as_node(l)
-        return (base(p, l, weights=weights, eps=eps)
-                + base(1.0 - p, 1.0 - l, weights=weights, eps=eps)) * 0.5
-
-    wrapped.__name__ = base.__name__ + "_with_complement"
-    return wrapped
+    return _similarity("tanimoto", p, l, weights, eps)
 
 
 _BASES = {"d1": dice_d1, "d2": dice_d2, "tanimoto": tanimoto_d3}
 
 
+def with_complement(base):
+    """Average of ``base`` (dice_d1, dice_d2 or tanimoto_d3) on (p, l) and on
+    the element-wise complements; class weights are shared by both halves."""
+    loss_id = next((k + "-complement" for k, fn in _BASES.items() if fn is base), None)
+    if loss_id is None:
+        raise ValueError("with_complement takes dice_d1, dice_d2 or tanimoto_d3")
+
+    def wrapped(p, l, weights=None, eps: float = EPS) -> Node:
+        return _similarity(loss_id, p, l, weights, eps)
+
+    wrapped.__name__ = base.__name__ + "_with_complement"
+    return wrapped
+
+
 def loss_fn(loss_id: str):
     """Resolve a similarity by id ('d1', 'tanimoto-complement', ...)."""
-    if loss_id in _BASES:
-        return _BASES[loss_id]
-    if loss_id.endswith("-complement") and loss_id[:-11] in _BASES:
-        return with_complement(_BASES[loss_id[:-11]])
-    raise ValueError(f"unknown loss id {loss_id!r}; choose from {LOSS_IDS}")
+    base, complement = _parse(loss_id)
+    return with_complement(_BASES[base]) if complement else _BASES[base]
 
 
 def volume_weights(onehot) -> np.ndarray:
@@ -138,46 +165,17 @@ def multitask_loss(out, targets: dict[str, np.ndarray],
 
 
 # -- analytic 2-D field ----------------------------------------------------
-#
-# Closed forms on p = (px, py) with fixed ground truth l: each coefficient is
-# (A + eps) / (B + eps) with A, B polynomial, so value and gradient come from
-# the quotient rule.  The reported gradient is the feasible-direction
-# (box-projected) gradient: components that would push a probability outside
-# [0, 1] are zeroed, so the field vanishes at saturated optima such as a
-# one-hot ground truth; inside the open square it equals the raw gradient.
-
-def _base_value_grad(base_id: str, px, py, lx: float, ly: float, eps: float):
-    pl = px * lx + py * ly
-    if base_id == "d1":
-        a, b = 2.0 * pl, px + py + lx + ly
-        ga = (2.0 * lx, 2.0 * ly)
-        gb = (np.ones_like(px), np.ones_like(py))
-    elif base_id == "d2":
-        a, b = 2.0 * pl, px * px + py * py + lx * lx + ly * ly
-        ga = (2.0 * lx * np.ones_like(px), 2.0 * ly * np.ones_like(py))
-        gb = (2.0 * px, 2.0 * py)
-    elif base_id == "tanimoto":
-        a = pl
-        b = px * px + py * py + lx * lx + ly * ly - pl
-        ga = (lx * np.ones_like(px), ly * np.ones_like(py))
-        gb = (2.0 * px - lx, 2.0 * py - ly)
-    else:
-        raise ValueError(f"unknown base loss {base_id!r}")
-    an, bn = a + eps, b + eps
-    value = an / bn
-    gx = (ga[0] * bn - an * gb[0]) / (bn * bn)
-    gy = (ga[1] * bn - an * gb[1]) / (bn * bn)
-    return value, gx, gy
-
+# The same closed form on p = (px, py) with a fixed ground truth l.  The
+# gradient is box-projected: components that would push a probability out
+# of [0, 1] are zeroed, so the field vanishes at saturated optima such as a
+# one-hot ground truth; inside the open square it is the raw gradient.
 
 def _value_grad(loss_id: str, px, py, lx: float, ly: float, eps: float):
-    if loss_id.endswith("-complement"):
-        base_id = loss_id[:-11]
-        v1, gx1, gy1 = _base_value_grad(base_id, px, py, lx, ly, eps)
-        v2, gx2, gy2 = _base_value_grad(base_id, 1.0 - px, 1.0 - py,
-                                        1.0 - lx, 1.0 - ly, eps)
-        return (v1 + v2) / 2.0, (gx1 - gx2) / 2.0, (gy1 - gy2) / 2.0
-    return _base_value_grad(loss_id, px, py, lx, ly, eps)
+    sums = np.stack(np.broadcast_arrays(px + py, lx + ly, px * lx + py * ly,
+                                        px * px + py * py, lx * lx + ly * ly))
+    value, ds = _value_partials(loss_id, sums, 2.0, eps)
+    return (value, ds[0] + ds[2] * lx + 2.0 * ds[3] * px,
+            ds[0] + ds[2] * ly + 2.0 * ds[3] * py)
 
 
 def _box_project(g, coord):
@@ -204,11 +202,11 @@ def field_sample(loss_id: str, l=(1.0, 0.0), grid_n: int = 101) -> LossField:
     Laplacian uses the 5-point stencil on the value grid, extended one step
     past the square so every lattice point gets a centered estimate.
     """
-    if loss_id not in LOSS_IDS:
-        raise ValueError(f"unknown loss id {loss_id!r}; choose from {LOSS_IDS}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     lx, ly = float(l[0]), float(l[1])
+    if not (0.0 <= lx <= 1.0 and 0.0 <= ly <= 1.0):
+        raise ValueError(f"ground truth must be finite and in [0, 1], got ({lx}, {ly})")
     grid = np.linspace(0.0, 1.0, grid_n)
     h = grid[1] - grid[0]
     ext = np.concatenate(([-h], grid, [1.0 + h]))

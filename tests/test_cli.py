@@ -282,6 +282,11 @@ def _loss_field_grid(n):
                              "--out", str(tmp_path / "run" / "f.csv")]
 
 
+def _loss_field_gt(gt):
+    return lambda tmp_path: ["loss-field", "--loss", "d1", "--gt", gt,
+                             "--out", str(tmp_path / "run" / "f.csv")]
+
+
 class TestOneErrorLineBeforeAnyWrite:
     """Bad data, a model/data/split mismatch or a bad flag: one protocol line,
     the exit code of its kind, no traceback; train and lr-find write nothing."""
@@ -301,6 +306,8 @@ class TestOneErrorLineBeforeAnyWrite:
                      id="lr-find-reversed-range"),
         pytest.param(_loss_field_grid(1), "config", 1, id="loss-field-grid-1"),
         pytest.param(_loss_field_grid(0), "config", 1, id="loss-field-grid-0"),
+        pytest.param(_loss_field_gt("nan,0"), "config", 1, id="loss-field-gt-nan"),
+        pytest.param(_loss_field_gt("2,-1"), "config", 1, id="loss-field-gt-outside"),
         pytest.param(_derive_below_largest_class, "data", 2, id="derive-labels-classes-2"),
     ])
     def test_one_error_line(self, tmp_path, capsys, make_argv, kind, code):
@@ -311,6 +318,11 @@ class TestOneErrorLineBeforeAnyWrite:
         assert len(err) == 1 and err[0].startswith(f'error kind={kind} msg="'), err
         if argv[0] in ("train", "lr-find"):
             assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("gt", ["nan,0", "inf,0", "2,-1"])
+    def test_loss_field_bad_gt_writes_nothing(self, tmp_path, gt):
+        assert main(_loss_field_gt(gt)(tmp_path)) == 1
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")

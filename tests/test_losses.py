@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrousseg.autodiff import parameter
+from atrousseg.autodiff import Node, ShapeError, as_node, parameter
 from atrousseg.losses import (EPS, LOSS_IDS, LossField, dice_d1, dice_d2,
                               field_sample, field_to_csv, loss_fn,
                               multitask_loss, tanimoto_d3, volume_weights,
@@ -17,6 +17,33 @@ from conftest import numeric_gradient, rel_err
 
 P2 = np.array([0.8, 0.4])
 L2 = np.array([1.0, 0.0])
+
+
+def composite_similarity(loss_id, p, l, weights=None, eps=EPS):
+    """Test-only reference: the similarity as a graph of autodiff arithmetic,
+    with the complement evaluated on the tensors 1 - p and 1 - l."""
+    base = loss_id.removesuffix("-complement")
+    w = None if weights is None else Node(np.asarray(weights, dtype=np.float64))
+
+    def pooled(*terms):
+        axes = None if w is None else (0,) + tuple(range(2, terms[0].ndim))
+        total = sum((t.sum(axis=axes) for t in terms[1:]), terms[0].sum(axis=axes))
+        return total if w is None else (w * total).sum()
+
+    def ratio(p, l):
+        inter = pooled(p * l)
+        if base == "d1":
+            num, den = 2.0 * inter, pooled(p, l)
+        elif base == "d2":
+            num, den = 2.0 * inter, pooled(p * p, l * l)
+        else:
+            num, den = inter, pooled(p * p, l * l) - inter
+        return (num + eps) / (den + eps)
+
+    p, l = as_node(p), as_node(l)
+    if base == loss_id:
+        return ratio(p, l)
+    return (ratio(p, l) + ratio(1.0 - p, 1.0 - l)) * 0.5
 
 
 class TestFrozenValues:
@@ -61,6 +88,10 @@ class TestRegistry:
         direct = 0.5 * (tanimoto_d3(p, l).item() + tanimoto_d3(1 - p, 1 - l).item())
         assert fn(p, l).item() == pytest.approx(direct, abs=1e-15)
 
+    def test_complement_takes_only_the_three_bases(self):
+        with pytest.raises(ValueError, match="with_complement"):
+            with_complement(lambda p, l, weights=None, eps=EPS: tanimoto_d3(p, l))
+
 
 class TestWeighted:
     def test_weight_length_validated(self):
@@ -93,9 +124,65 @@ class TestWeighted:
         assert w[1] == pytest.approx(1.0)
         assert w[2] == 0.0           # absent class
 
+    def test_weights_need_class_axis(self):
+        with pytest.raises(ValueError, match="class axis"):
+            dice_d1(P2, L2, weights=np.ones(2))
+
     def test_volume_weights_need_class_axis(self):
         with pytest.raises(ValueError):
             volume_weights(np.ones(5))
+
+
+class TestShapes:
+    """A target of another shape is an error, not a broadcast."""
+
+    def test_unweighted(self):
+        p = np.full((2, 3, 4, 4), 0.5)
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4, 4\).*\(3, 4, 4\)"):
+            tanimoto_d3(p, np.ones((3, 4, 4)))
+
+    def test_weighted(self):
+        p = np.full((2, 3, 4, 4), 0.5)
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4, 4\).*\(1, 3, 4, 4\)"):
+            dice_d1(p, np.ones((1, 3, 4, 4)), weights=np.ones(3))
+
+
+class TestClosedForm:
+    """The closed-form op against the composite reference graph."""
+
+    @pytest.mark.parametrize("lid", LOSS_IDS)
+    @pytest.mark.parametrize("shape, weighted", [((7,), False), ((2, 3, 4, 4), False),
+                                                 ((2, 3, 4, 4), True)])
+    def test_f64_matches_composite(self, rng, lid, shape, weighted):
+        p0 = rng.uniform(0.05, 0.95, shape)
+        l = np.where(rng.random(shape) < 0.5, rng.random(shape), rng.random(shape) > 0.5)
+        weights = rng.uniform(0.5, 2.0, 3) if weighted else None
+        p, ref = parameter(p0), parameter(p0)
+        value = loss_fn(lid)(p, l, weights=weights)
+        want = composite_similarity(lid, ref, l, weights=weights)
+        value.backward()
+        want.backward()
+        assert abs(value.item() - want.item()) <= 1e-12 * abs(want.item())
+        assert rel_err(p.grad, ref.grad) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(4, 4, 64, 64), (1, 6, 256, 256)])
+    def test_f32_matches_f64_composite(self, shape):
+        rng = np.random.default_rng(5)
+        n, k = shape[:2]
+        p32 = rng.random(shape, dtype=np.float32)
+        l = np.eye(k, dtype=np.float32)[rng.integers(0, k, (n,) + shape[2:])]
+        l = np.ascontiguousarray(l.transpose(0, 3, 1, 2))
+        for lid in LOSS_IDS:
+            for weights in (None, volume_weights(l)):
+                p, ref = parameter(p32), parameter(p32.astype(np.float64))
+                value = loss_fn(lid)(p, l, weights=weights)
+                want = composite_similarity(lid, ref, l.astype(np.float64), weights=weights)
+                value.backward()
+                want.backward()
+                assert value.dtype == np.float64 and p.grad.dtype == np.float32
+                assert abs(value.item() - want.item()) <= 1e-12, lid
+                tol = np.finfo(np.float32).eps * np.abs(ref.grad).max()
+                assert np.abs(p.grad - ref.grad).max() <= tol, (lid, weights is None)
 
 
 class TestGradients:
@@ -176,6 +263,11 @@ class TestField:
         with pytest.raises(ValueError):
             field_sample("dice", grid_n=3)
 
+    @pytest.mark.parametrize("gt", [(np.nan, 0.0), (np.inf, 0.0), (2.0, -1.0), (0.5, 1.5)])
+    def test_rejects_ground_truth_outside_unit_square(self, gt):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            field_sample("d1", l=gt, grid_n=3)
+
 
 class TestMultitask:
     def _fake_output(self, rng, k=3, hw=8):
@@ -218,6 +310,27 @@ class TestMultitask:
             rng.integers(0, 3, (1, 4, 4))].transpose(0, 3, 1, 2)}
         val = multitask_loss(out, targets)
         assert np.isfinite(val.item())
+
+    def test_head_gradients_keep_prediction_dtype(self, rng):
+        from atrousseg.models import MultiHeadOutput
+        mk = lambda k: parameter(rng.random((2, k, 8, 8)).astype(np.float32))
+        out = MultiHeadOutput(segmentation=mk(3), boundary=mk(3), distance=mk(3), color=mk(3))
+        multitask_loss(out, self._targets(rng)).backward()
+        for name, pred in out.tasks().items():
+            assert pred.grad.dtype == np.float32, name
+
+    def test_cmtsk_parameter_gradients_are_f32(self, rng):
+        from atrousseg.labels import derive_record
+        from atrousseg.models import ModelSpec, build_model
+        from atrousseg.trainer import batch_loss
+        model = build_model(ModelSpec(initial_filters=4, n_classes=3, input_channels=3,
+                                      head="cmtsk"), seed=0)
+        records = [derive_record(rng.random((3, 32, 32)), rng.integers(0, 3, (32, 32)), 3)
+                   for _ in range(2)]
+        loss, _ = batch_loss(model, records, "tanimoto-complement")
+        loss.backward()
+        wide = [name for name, w in model.named_parameters() if w.grad.dtype != np.float32]
+        assert model.parameters() and not wide, wide
 
     def test_gradient_flows_to_predictions(self, rng):
         out = self._fake_output(rng)
