@@ -4,18 +4,22 @@ Builds a d6 trunk with 32 initial filters and the conditioned multitask
 (cmtsk) head, derives the targets of one synthetic 256 px scene, and runs
 
   * one batch-1 train step: forward with the multitask loss, then backward;
-  * one eval-mode forward of a single window (no graph is recorded).
+  * one eval-mode forward of a single window (no graph is recorded);
+  * the optimizer's part of the step: ``Adam.step`` on those gradients,
+    then the ``zero_grad`` that starts the next step.
 
-It prints the wall seconds of each phase, the absolute sum and a SHA-256
-digest of every parameter gradient (so two builds can be checked for
-bit-identical gradients), the process's peak RSS from ``getrusage`` after
-the train step and at the end, and the minor page faults (``ru_minflt``)
-taken during the train step and during the eval window.  The train step
-runs under perfbench's tracer (``perfbench/optrace.py``), which gives the
-per-op table ``train_step_ops``: calls, forward and backward ms and share of
-the train step for each nnops op, each conv2d class and the autodiff
-arithmetic.  A run takes about 10 s and 2 GB; pin BLAS to one thread for
-comparable numbers:
+It prints the wall seconds of each phase and of the full step (forward,
+backward and optimizer), the absolute sum and a SHA-256 digest of every
+parameter gradient and a digest of the parameters after the Adam step (so
+two builds can be checked for bit-identical gradients and updates), the
+process's peak RSS from ``getrusage`` after the backward pass and at the
+end, and the minor page faults (``ru_minflt``) taken during forward plus
+backward, the eval window, ``Adam.step`` and ``zero_grad``.  Forward and
+backward run under perfbench's tracer (``perfbench/optrace.py``), which
+gives the per-op table ``train_step_ops``: calls, forward and backward ms
+and share of forward plus backward for each nnops op, each conv2d class and
+the autodiff arithmetic.  A run takes about 12 s and 2 GB; pin BLAS to one
+thread for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/width_probe.py
 """
@@ -34,7 +38,7 @@ import numpy as np
 from atrousseg.labels import derive_record
 from atrousseg.models import ModelSpec, build_model
 from atrousseg.synth import SceneSpec, generate
-from atrousseg.trainer import batch_loss
+from atrousseg.trainer import Adam, batch_loss
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import optrace  # noqa: E402
@@ -50,6 +54,21 @@ def peak_rss_mb() -> float:
 
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def sha256_hex(arrays) -> str:
+    """SHA-256 of the arrays' bytes in C order, one after another."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def timed(fn) -> tuple[float, int]:
+    """Wall seconds and minor page faults of one call of fn."""
+    f0, t0 = minor_faults(), time.perf_counter()
+    fn()
+    return time.perf_counter() - t0, minor_faults() - f0
 
 
 def op_table(tracer: optrace.Tracer, step_s: float) -> dict:
@@ -85,23 +104,30 @@ def main() -> None:
         t2, f1 = time.perf_counter(), minor_faults()
     step_rss = peak_rss_mb()
 
-    digest = hashlib.sha256()
-    for p in params:
-        digest.update(np.ascontiguousarray(p.grad).tobytes())
-    grad_abs_sum = sum(float(np.abs(p.grad).sum(dtype=np.float64)) for p in params)
+    grads = [np.ascontiguousarray(p.grad) for p in params]  # C order: layout-free sums
+    grad_abs_sum = sum(float(np.abs(g).sum(dtype=np.float64)) for g in grads)
+    grad_digest = sha256_hex(grads)
+    del grads
 
-    f2, t3 = minor_faults(), time.perf_counter()
-    model.predict(record.image[None])
-    t4, f3 = time.perf_counter(), minor_faults()
+    eval_s, eval_flt = timed(lambda: model.predict(record.image[None]))
+
+    opt = Adam(params)
+    adam_s, adam_flt = timed(opt.step)
+    updated_digest = sha256_hex(p.value for p in params)
+    zero_s, zero_flt = timed(opt.zero_grad)
 
     print(json.dumps({
         "loss": f"{loss.item():.17g}",
         "forward_s": round(t1 - t0, 3), "backward_s": round(t2 - t1, 3),
-        "eval_window_s": round(t4 - t3, 3),
-        "grad_abs_sum": f"{grad_abs_sum:.17g}", "grad_sha256": digest.hexdigest(),
+        "adam_step_s": round(adam_s, 3), "zero_grad_s": round(zero_s, 3),
+        "full_step_s": round(t2 - t0 + adam_s + zero_s, 3),
+        "eval_window_s": round(eval_s, 3),
+        "grad_abs_sum": f"{grad_abs_sum:.17g}", "grad_sha256": grad_digest,
+        "param_sha256_after_adam": updated_digest,
         "peak_rss_mb_after_step": round(step_rss, 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
-        "minflt_train_step": f1 - f0, "minflt_eval_window": f3 - f2,
+        "minflt_train_step": f1 - f0, "minflt_eval_window": eval_flt,
+        "minflt_adam_step": adam_flt, "minflt_zero_grad": zero_flt,
         "train_step_ops": op_table(tracer, t2 - t0),
     }, indent=2))
 

@@ -3,6 +3,8 @@
 Warps touch only the image and the integer mask; every derived channel
 (one-hot, boundary, distance, HSV) is re-derived afterwards, because e.g. a
 warped distance transform is not the distance transform of the warped mask.
+The warp imports scipy itself, as labels does, so that a process that
+derives no labels never loads it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .labels import SampleRecord, derive_record
 
@@ -37,6 +38,7 @@ def _affine_warp(record: SampleRecord, angle_deg: float,
     the record appears rotated by ``angle_deg`` and zoomed by ``scale``.
     Image channels interpolate bilinearly, the mask nearest-neighbor.
     """
+    from scipy import ndimage
     theta = np.deg2rad(angle_deg)
     cos, sin = np.cos(theta), np.sin(theta)
     matrix = np.array([[cos, -sin], [sin, cos]]) / scale

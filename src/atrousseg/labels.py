@@ -4,6 +4,8 @@ distance transforms, and HSV color targets.
 Everything is derived from the integer mask and the image alone.  The image
 border is treated as off-class for both the boundary and the distance
 transform, so an object touching the frame still has a boundary there.
+scipy is imported inside the two functions that call it, so a process that
+derives no labels (inference, evaluation) never loads it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 
 @dataclass
@@ -57,6 +58,7 @@ def get_boundary(binary) -> np.ndarray:
     A boundary pixel is an on-pixel with at least one 4-neighbor off-pixel;
     positions outside the frame count as off.
     """
+    from scipy import ndimage
     m = np.asarray(binary).astype(bool)
     if m.ndim != 2:
         raise ValueError(f"binary plane must be 2-D, got shape {m.shape}")
@@ -73,6 +75,7 @@ def get_distance(binary, normalize: bool = True) -> np.ndarray:
     Positions outside the frame count as off.  With ``normalize`` the plane
     is min-max scaled to [0, 1]; a constant plane maps to zeros.
     """
+    from scipy import ndimage
     m = np.asarray(binary).astype(bool)
     if m.ndim != 2:
         raise ValueError(f"binary plane must be 2-D, got shape {m.shape}")

@@ -311,7 +311,12 @@ def save_checkpoint(model: SegmentationModel, out_dir) -> Path:
 def load_checkpoint(ckpt_dir) -> SegmentationModel:
     ckpt = Path(ckpt_dir)
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    spec = ModelSpec(**manifest["spec"])
+    if manifest.get("format") != "nct1":
+        raise ValueError(f"{ckpt}: checkpoint format {manifest.get('format')!r}, expected 'nct1'")
+    try:
+        spec = ModelSpec(**manifest["spec"])
+    except TypeError as exc:  # a field ModelSpec does not have
+        raise ValueError(f"{ckpt}: bad model spec in manifest: {exc}") from exc
     model = SegmentationModel(spec)
     state = {name: fileio.read_nct(ckpt / fname)
              for name, fname in manifest["tensors"].items()}

@@ -81,6 +81,9 @@ class Module:
         missing = sorted(set(own) - set(state))
         if missing:
             raise KeyError(f"state dict is missing entries: {missing}")
+        unexpected = sorted(set(state) - set(own))
+        if unexpected:
+            raise KeyError(f"state dict has entries the model does not: {unexpected}")
         for name, dst in own.items():
             src = np.asarray(state[name])
             if src.shape != dst.shape:
@@ -123,7 +126,10 @@ class Conv2d(Module):
         super().__init__()
         std = np.sqrt(2.0 / (in_channels * kernel * kernel))
         shape = (out_channels, in_channels, kernel, kernel)
-        self.weight = parameter(rng.normal(0.0, std, shape), dtype=dtype)
+        # OIHW shape over tap-major (k, k, cout, cin) memory: each tap's
+        # (cout, cin) weights w[:, :, i, j] are one contiguous block
+        taps = np.ascontiguousarray(rng.normal(0.0, std, shape).transpose(2, 3, 0, 1))
+        self.weight = parameter(taps.transpose(2, 3, 0, 1), dtype=dtype)
         self.bias = parameter(np.zeros(out_channels), dtype=dtype) if bias else None
         self.stride = stride
         self.dilation = dilation

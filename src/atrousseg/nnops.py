@@ -106,7 +106,8 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     gap = abs(cols[-1][1])
     p = wd + gap
     # (i, j, contiguous (cout, cin) weights, output start, input start,
-    # length) of every live tap's window on the flat rows
+    # length) of every live tap's window on the flat rows; the weights are a
+    # view, not a copy, when w is tap-major as Conv2d builds it
     taps = [(i, j, np.ascontiguousarray(w.value[:, :, i, j]), gap + max(0, -di) * p,
              gap + max(0, di) * p + dj, (h - abs(di)) * p - gap)
             for i, di in rows for j, dj in cols]
@@ -134,7 +135,7 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     def backward(g):
         gp = flat(g, step)
         if w.requires_grad:
-            accumulate(w, _tap_weight_grad(w.shape, taps, gp, flat(xs, 1)))
+            accumulate(w, _tap_weight_grad(w.value, taps, gp, flat(xs, 1)))
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
@@ -151,10 +152,11 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     return make_node(out, parents, backward)
 
 
-def _tap_weight_grad(shape, taps, g, src) -> np.ndarray:
-    """Weight gradient of shape (cout, cin, k, k): for each of conv2d's taps
-    (i, j, _, d, s, L), the sum over images of g[:, :, d:d+L] @ src[:, :, s:s+L].T."""
-    gw = np.zeros(shape, np.result_type(g, src))
+def _tap_weight_grad(w, taps, g, src) -> np.ndarray:
+    """Weight gradient in w's shape (cout, cin, k, k) and memory layout: for
+    each of conv2d's taps (i, j, _, d, s, L), the sum over images of
+    g[:, :, d:d+L] @ src[:, :, s:s+L].T."""
+    gw = np.zeros_like(w, np.result_type(g, src))
     for i, j, _, d, s, size in taps:
         gw[:, :, i, j] = np.matmul(g[:, :, d:d + size],
                                    src[:, :, s:s + size].transpose(0, 2, 1)).sum(axis=0)

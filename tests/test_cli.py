@@ -190,6 +190,24 @@ class TestMalformedInput:
             ["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "t.nct"),
              "--out", str(tmp_path / "o")], capsys)
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: m.update(format="nct2"), id="format"),
+        pytest.param(lambda m: m["spec"].update(colour=1), id="spec-field"),
+        pytest.param(lambda m: m["tensors"].update({"extra.w": next(iter(m["tensors"].values()))}),
+                     id="extra-tensor"),
+    ])
+    def test_bad_checkpoint_manifest(self, tmp_path, capsys, edit):
+        ckpt = tmp_path / "ck"
+        save_checkpoint(build_model(ModelSpec(depth="d6", initial_filters=4, n_classes=3)), ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        edit(manifest)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        fileio.write_ppm(tmp_path / "t.ppm", np.zeros((32, 32, 3), np.uint8))
+        self.assert_one_data_error_line(
+            ["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "t.ppm"),
+             "--out", str(tmp_path / "o"), "--window", "32"], capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_without_entries(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text('{"n_images": 1}')
         self.assert_one_data_error_line(

@@ -1,6 +1,7 @@
 """Architecture assembly: parameter budgets, head wiring, input validation,
 and checkpoint round-trips."""
 
+import json
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from atrousseg import fileio
 from atrousseg.autodiff import Node, ShapeError, is_grad_enabled
 from atrousseg.models import (ModelSpec, build_model, load_checkpoint,
                               param_count, save_checkpoint)
+from atrousseg.trainer import Adam
 
 # Frozen parameter budgets for the reference configurations (5 input
 # channels, 6 classes, 32 initial filters), computed once by hand-walking
@@ -253,3 +255,71 @@ class TestCheckpoint:
         victim.unlink()
         with pytest.raises((FileNotFoundError, KeyError)):
             load_checkpoint(tmp_path)
+
+    def test_load_rejects_unexpected_entries(self, tmp_path):
+        model = build_model(tiny_spec(), seed=0)
+        state = dict(model.state_dict(), **{"extra.weight": np.zeros(3, np.float32)})
+        with pytest.raises(KeyError, match=r"extra\.weight"):
+            model.load_state_dict(state)
+        save_checkpoint(model, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["tensors"]["extra.weight"] = next(iter(manifest["tensors"].values()))
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(KeyError, match=r"extra\.weight"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda m: m.pop("format"), "format", id="no-format"),
+        pytest.param(lambda m: m.update(format="nct2"), "format", id="format-nct2"),
+        pytest.param(lambda m: m.update(format=1), "format", id="format-1"),
+        pytest.param(lambda m: m["spec"].update(colour=1), "colour", id="spec-field"),
+    ])
+    def test_load_rejects_bad_manifest(self, tmp_path, edit, match):
+        save_checkpoint(build_model(tiny_spec(), seed=0), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(tmp_path)
+
+def is_tap_major(a) -> bool:
+    """Whether an OIHW array lies in (k, k, cout, cin) memory order."""
+    return a.transpose(2, 3, 0, 1).flags.c_contiguous
+
+
+class TestConvWeightLayout:
+    """Conv2d keeps its OIHW weights in tap-major memory through training
+    state and checkpoints; the files stay C-ordered OIHW."""
+
+    @staticmethod
+    def conv_weights(model):
+        return {name: p for name, p in model.named_parameters()
+                if p.ndim == 4 and p.shape[2] == 3}
+
+    def test_layout_survives_zero_grad_adam_and_load(self):
+        model = build_model(tiny_spec(), seed=0)
+        weights = self.conv_weights(model)
+        assert weights and all(is_tap_major(p.value) for p in weights.values())
+        opt = Adam(model.parameters())
+        opt.zero_grad()
+        model.train(True)
+        x = np.random.default_rng(1).random((2, 3, 32, 32), dtype=np.float32)
+        model(x).segmentation.sum().backward()
+        opt.step()
+        for name, p in weights.items():
+            assert is_tap_major(p.grad), name
+        for p, m, v in zip(opt.params, opt._m, opt._v):
+            if p.ndim == 4 and p.shape[2] == 3:
+                assert is_tap_major(m) and is_tap_major(v)
+        model.load_state_dict(build_model(tiny_spec(), seed=1).state_dict())
+        assert all(is_tap_major(p.value) for p in weights.values())
+
+    def test_checkpoint_writes_oihw_bytes(self, tmp_path):
+        model = build_model(tiny_spec(), seed=0)
+        save_checkpoint(model, tmp_path)
+        for name, p in self.conv_weights(model).items():
+            stored = fileio.read_nct(tmp_path / f"{name}.nct")
+            assert stored.shape == p.shape
+            assert stored.tobytes() == np.ascontiguousarray(p.value).tobytes(), name
+        clone = load_checkpoint(tmp_path)
+        assert all(is_tap_major(p.value) for p in self.conv_weights(clone).values())

@@ -185,6 +185,30 @@ class TestConv2dReference:
         assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
         assert w.grad.dtype == np.float64 and w.grad.flags.c_contiguous
 
+    @pytest.mark.parametrize("shape", [(2, 3, 9, 7), (4, 16, 2, 2)])
+    @pytest.mark.parametrize("dilation", [1, 3, 15])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_tap_major_weight_is_bit_identical(self, rng, k, stride, dilation, shape):
+        """Conv2d stores OIHW weights in (k, k, cout, cin) memory so that each
+        tap's weights are contiguous: the results are those of a C-ordered
+        copy bit for bit, and the weight gradient keeps the tap-major layout."""
+        x = rng.normal(size=shape).astype(np.float32)
+        w = rng.normal(size=(5, shape[1], k, k)).astype(np.float32)
+        tap_major = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+        g = None
+        results = []
+        for weight in (w, tap_major):
+            xn, wn = upstream(x), upstream(weight)
+            out = conv2d(xn, wn, stride=stride, dilation=dilation)
+            g = rng.normal(size=out.shape).astype(np.float32) if g is None else g
+            backprop(out, g)
+            results.append((out.value, xn.grad, wn.grad))
+        for name, c_order, tapped in zip(("out", "gx", "gw"), *results):
+            assert c_order.tobytes() == tapped.tobytes(), name
+        gw = results[1][2]
+        assert gw.strides == tap_major.strides and gw[:, :, k // 2, 0].flags.c_contiguous
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_1x1_dtype_and_layout_with_f64_upstream(self, rng, stride):
         """The head logits are 1x1 convolutions: the same contract on the GEMM path."""
