@@ -79,9 +79,7 @@ def random_flip(record: SampleRecord, rng: np.random.Generator,
     def f(a):
         return np.ascontiguousarray(np.flip(a, axis=axes))
 
-    return SampleRecord(image=f(record.image), mask=f(record.mask),
-                        onehot=f(record.onehot), boundary=f(record.boundary),
-                        distance=f(record.distance), hsv=f(record.hsv))
+    return SampleRecord(**{name: f(a) for name, a in vars(record).items()})
 
 
 def augment_record(record: SampleRecord, cfg: AugmentConfig,

@@ -16,7 +16,7 @@ convolution / pooling / normalisation primitives are in ``nnops``.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -150,16 +150,9 @@ class Node:
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False):
-        n = self.size if axis is None else _axis_count(self.shape, axis)
-        return mul(reduce_sum(self, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def _axis_count(shape: Sequence[int], axis) -> int:
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    n = 1
-    for a in axes:
-        n *= shape[a]
-    return n
+        total = reduce_sum(self, axis=axis, keepdims=keepdims)
+        # the exact quotient (size/n)/size = 1/n, correctly rounded
+        return mul(total, total.size / self.size)
 
 
 def _toposort(root: Node) -> list[Node]:
@@ -187,12 +180,7 @@ def _toposort(root: Node) -> list[Node]:
 
 def parameter(value, dtype=None) -> Node:
     """Create a trainable leaf node with a zero-initialised gradient."""
-    arr = np.array(value, dtype=dtype) if dtype is not None else np.array(value)
-    return Node(arr, requires_grad=True)
-
-
-def constant(value) -> Node:
-    return Node(np.asarray(value))
+    return Node(np.array(value, dtype=dtype), requires_grad=True)
 
 
 def as_node(x) -> Node:

@@ -6,6 +6,7 @@ the checkerboard-free upsampling unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,8 +18,8 @@ from .modules import BatchNorm2d, Conv2d, Module, ModuleList
 @dataclass(frozen=True)
 class BlockConfig:
     filters: int
-    kernel: int = 3
     dilations: tuple[int, ...] = (1,)
+    kernel: ClassVar[int] = 3
 
     def __post_init__(self):
         if self.filters < 1:

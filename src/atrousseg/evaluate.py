@@ -26,11 +26,7 @@ def _as_predict(model):
     if callable(model) and not hasattr(model, "predict"):
         return model
 
-    def predict(x):
-        out = model.predict(x)
-        return out["segmentation"] if isinstance(out, dict) else out
-
-    return predict
+    return lambda x: model.predict(x)["segmentation"]
 
 
 def sliding_window_inference(tile, model, window: int = 256,

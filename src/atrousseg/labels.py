@@ -52,6 +52,14 @@ def one_hot(mask, n_classes: int, dtype=np.float32) -> np.ndarray:
     return eye[m].transpose(2, 0, 1)
 
 
+def _framed(binary) -> np.ndarray:
+    """A 2-D binary plane as bool, inside a one-pixel border of off-pixels."""
+    m = np.asarray(binary).astype(bool)
+    if m.ndim != 2:
+        raise ValueError(f"binary plane must be 2-D, got shape {m.shape}")
+    return np.pad(m, 1, mode="constant", constant_values=False)
+
+
 def get_boundary(binary) -> np.ndarray:
     """Class boundary of a binary plane, dilated once with the 3x3 cross.
 
@@ -59,13 +67,10 @@ def get_boundary(binary) -> np.ndarray:
     positions outside the frame count as off.
     """
     from scipy import ndimage
-    m = np.asarray(binary).astype(bool)
-    if m.ndim != 2:
-        raise ValueError(f"binary plane must be 2-D, got shape {m.shape}")
-    padded = np.pad(m, 1, mode="constant", constant_values=False)
+    padded = _framed(binary)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
-    edge = m & ~interior
+    edge = padded[1:-1, 1:-1] & ~interior
     return ndimage.binary_dilation(edge).astype(np.uint8)
 
 
@@ -76,11 +81,7 @@ def get_distance(binary, normalize: bool = True) -> np.ndarray:
     is min-max scaled to [0, 1]; a constant plane maps to zeros.
     """
     from scipy import ndimage
-    m = np.asarray(binary).astype(bool)
-    if m.ndim != 2:
-        raise ValueError(f"binary plane must be 2-D, got shape {m.shape}")
-    padded = np.pad(m, 1, mode="constant", constant_values=False)
-    d = ndimage.distance_transform_edt(padded)[1:-1, 1:-1]
+    d = ndimage.distance_transform_edt(_framed(binary))[1:-1, 1:-1]
     if not normalize:
         return d
     lo, hi = d.min(), d.max()

@@ -14,7 +14,7 @@ import json
 import os
 import secrets
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,8 @@ from .modules import Conv2d, Module, ModuleList
 DEPTHS = ("d6", "d7v1", "d7v2")
 HEADS = ("single", "mtsk", "cmtsk")
 
-# Per-level dilation sets; the decoder mirrors the encoder level for level.
-_DILATIONS = {
-    "d6": ((1, 3, 15, 31), (1, 3, 15, 31), (1, 3, 15), (1, 3, 15), (1,), (1,)),
-    "d7": ((1, 3, 15, 31), (1, 3, 15, 31), (1, 3, 15), (1, 3, 15), (1,), (1,), (1,)),
-}
+# Per-level dilation sets (d6 reads the first six); the decoder mirrors them.
+_DILATIONS = ((1, 3, 15, 31), (1, 3, 15, 31), (1, 3, 15), (1, 3, 15), (1,), (1,), (1,))
 
 PSP_FULL = (1, 2, 4, 8)
 PSP_REDUCED = (1, 2, 4)
@@ -74,12 +71,8 @@ class MultiHeadOutput:
     color: Node | None = None
 
     def tasks(self) -> dict[str, Node]:
-        out = {"segmentation": self.segmentation}
-        for name in ("boundary", "distance", "color"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        heads = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: node for name, node in heads if node is not None}
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: node.value for name, node in self.tasks().items()}
@@ -106,13 +99,12 @@ class _Trunk(Module):
     def __init__(self, spec: ModelSpec, rng):
         super().__init__()
         f = spec.initial_filters
-        dils = _DILATIONS["d6" if spec.depth == "d6" else "d7"]
         levels = spec.n_levels
         widths = [f * 2 ** i for i in range(levels)]
 
         self.entry = Conv2d(spec.input_channels, f, 1, bias=True, rng=rng)
         self.encoder = ModuleList(
-            ResBlockA(BlockConfig(widths[i], 3, dils[i]), rng=rng)
+            ResBlockA(BlockConfig(widths[i], _DILATIONS[i]), rng=rng)
             for i in range(levels))
         self.down = ModuleList(
             Conv2d(widths[i], widths[i + 1], 1, stride=2, bias=True, rng=rng)
@@ -133,7 +125,7 @@ class _Trunk(Module):
             Combine(widths[i], widths[i], widths[i], rng=rng)
             for i in reversed(range(levels - 1)))
         self.decoder = ModuleList(
-            ResBlockA(BlockConfig(widths[i], 3, dils[i]), rng=rng)
+            ResBlockA(BlockConfig(widths[i], _DILATIONS[i]), rng=rng)
             for i in reversed(range(levels - 1)))
         self.final = Combine(f, f, f, rng=rng)
 

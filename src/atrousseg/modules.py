@@ -35,26 +35,29 @@ class Module:
         object.__setattr__(self, name, array)
 
     # -- traversal -------------------------------------------------------
-    def named_parameters(self, prefix: str = ""):
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def _walk(self, prefix: str = ""):
+        """(dotted prefix, module) for this module and every descendant, pre-order."""
+        yield prefix, self
         for name, mod in self._modules.items():
-            yield from mod.named_parameters(prefix + name + ".")
+            yield from mod._walk(prefix + name + ".")
+
+    def named_parameters(self):
+        for prefix, mod in self._walk():
+            for name, p in mod._params.items():
+                yield prefix + name, p
 
     def parameters(self) -> list[Node]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = ""):
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for name, mod in self._modules.items():
-            yield from mod.named_buffers(prefix + name + ".")
+    def named_buffers(self):
+        for prefix, mod in self._walk():
+            for name, b in mod._buffers.items():
+                yield prefix + name, b
 
     # -- state -----------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
-        for mod in self._modules.values():
-            mod.train(mode)
+        for _, mod in self._walk():
+            object.__setattr__(mod, "training", mode)
         return self
 
     def eval(self) -> "Module":
@@ -101,11 +104,7 @@ class Module:
 class ModuleList(Module):
     def __init__(self, mods=()):
         super().__init__()
-        for mod in mods:
-            self.append(mod)
-
-    def append(self, mod: Module) -> None:
-        self._modules[str(len(self._modules))] = mod
+        self._modules.update((str(i), mod) for i, mod in enumerate(mods))
 
     def __iter__(self):
         return iter(self._modules.values())

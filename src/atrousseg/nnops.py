@@ -139,7 +139,7 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            # x's dtype, even when g is wider (f64 head gradients on f32 trunks)
+            # x's dtype, even when g is wider
             gxp = np.empty((n, cin, gap + h * p), x.dtype)
             _tap_gemms(gxp, [(m.T, a, o, size) for _, _, m, o, a, size in taps], gp)
             gx = np.ascontiguousarray(crop(gxp, 1))
@@ -224,18 +224,16 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         running_mean += (1.0 - momentum) * mean
         running_var *= momentum
         running_var += (1.0 - momentum) * var
+        invstd = 1.0 / np.sqrt(var + eps)
+        scale = gamma.value * invstd
+        out *= scale[:, None, None]
+        out += beta.value[:, None, None]
     else:
         # a copy: backward recomputes d from it, and a train-mode call made
         # before that backward updates running_mean in place
         mean = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype, copy=False)
-
-    invstd = 1.0 / np.sqrt(var + eps)
-    scale = gamma.value * invstd
-    if training:
-        out *= scale[:, None, None]
-        out += beta.value[:, None, None]
-    else:
+        invstd = 1.0 / np.sqrt(running_var.astype(x.dtype, copy=False) + eps)
+        scale = gamma.value * invstd
         out = x.value * scale[:, None, None]
         out += (beta.value - mean * scale)[:, None, None]
 

@@ -54,10 +54,6 @@ class Sgd(object):
         self.lr = float(lr)
         self.t = 0
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
     def step(self):
         self.t += 1
         for p in self.params:
@@ -101,7 +97,8 @@ def lr_finder(loss_fn, params, batches, lr_lo: float = 1e-6, lr_hi: float = 1.0,
     One optimizer step per LR value, cycling through ``batches``; the loss
     curve is EMA-smoothed (bias-corrected).  The sweep aborts once the
     smoothed loss exceeds 4x its running minimum.  Parameters are restored
-    to their initial values afterwards.
+    afterwards, but not the batch-norm running statistics that the
+    train-mode forwards update.
     """
     if not lr_lo < lr_hi:
         raise ValueError(f"need lr_lo < lr_hi, got {lr_lo} >= {lr_hi}")
@@ -117,10 +114,7 @@ def lr_finder(loss_fn, params, batches, lr_lo: float = 1e-6, lr_hi: float = 1.0,
     try:
         for t in range(steps):
             opt.lr = lr_lo * ratio ** t
-            opt.zero_grad()
-            loss = loss_fn(batches[t % len(batches)])
-            loss.backward()
-            value = loss.item()
+            value = aggregate_gradients(loss_fn, params, [batches[t % len(batches)]])
             if not np.isfinite(value):
                 break
             opt.step()
@@ -166,6 +160,10 @@ class TrainConfig:
     augment: AugmentConfig | None = None
 
     def __post_init__(self):
+        if not self.lr >= 0.0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ValueError(f"betas must be two values in [0, 1), got {self.betas}")
         if not (0.0 < self.plateau_factor < 1.0):
             raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
         if self.max_epochs < 1:
@@ -294,7 +292,6 @@ def train(model, train_records, val_records, cfg: TrainConfig) -> TrainResult:
 
             agg = aggregate_gradients(forward, params, micro)
             if not np.isfinite(agg):
-                model.load_state_dict(best_state)
                 halted = True
                 break
             opt.step()

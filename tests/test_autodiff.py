@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrousseg.autodiff import (Node, add, as_node, constant, div,
+from atrousseg.autodiff import (Node, add, as_node, div,
                                 is_grad_enabled, mul, no_grad, parameter)
 from conftest import numeric_gradient, rel_err
 
@@ -65,7 +65,7 @@ class TestGraphMechanics:
         assert x.grad == pytest.approx(6.0)  # only the live factor
 
     def test_constant_gets_no_grad(self):
-        c = constant(np.ones(4))
+        c = as_node(np.ones(4))
         assert not c.requires_grad and c.grad is None
 
     def test_as_node_passthrough(self):
@@ -172,7 +172,7 @@ class TestConstantOperands:
         p0 = rng.uniform(0.5, 2.0, size=(3,)).astype(np.float32)
         c0 = rng.uniform(0.5, 2.0, size=(2, 3))  # f64, broadcasts p
         t = rng.normal(size=(2, 3))
-        p, c = parameter(p0), constant(c0)
+        p, c = parameter(p0), as_node(c0)
         out = op(p, c) if param_first else op(c, p)
         (out * t).sum().backward()  # out's upstream gradient is t exactly
         grad = grad_first if param_first else grad_second
@@ -207,6 +207,16 @@ class TestOpGradients:
     def test_mean(self, rng):
         x0 = rng.normal(size=(6,))
         self.check(lambda x: (x.mean() ** 2).sum(), x0)
+
+    @pytest.mark.parametrize("axis", [0, -1, (0, 2), (1, 2)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_axis_keepdims(self, rng, axis, keepdims):
+        x0 = rng.normal(size=(2, 3, 4))
+        got = parameter(x0).mean(axis=axis, keepdims=keepdims).value
+        want = np.mean(x0, axis=axis, keepdims=keepdims)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        self.check(lambda x: (x.mean(axis=axis, keepdims=keepdims) ** 2).sum(), x0)
 
     def test_rdiv(self, rng):
         x0 = rng.uniform(1.0, 2.0, size=(3,))

@@ -270,12 +270,12 @@ class TestMalformedInput:
         assert not (tmp_path / "run").exists()
 
 
-def _run(command, *flags, **data):
-    """argv builder: ``command`` on write_config's run, its data section updated."""
+def _run(command, *flags, section="data", **values):
+    """argv builder: ``command`` on write_config's run, one section updated."""
     def make(tmp_path):
         cfg = write_config(tmp_path)
         doc = json.loads(cfg.read_text())
-        doc["data"].update(data)
+        doc[section].update(values)
         cfg.write_text(json.dumps(doc))
         return [command, "--config", str(cfg), *flags]
     return make
@@ -319,6 +319,8 @@ class TestOneErrorLineBeforeAnyWrite:
         pytest.param(_run("train", split=[0.5, 0.0, 0.5]), "config", 1,
                      id="train-empty-val-part"),
         pytest.param(_run("train", "--epochs", "0"), "config", 1, id="train-epochs-0"),
+        pytest.param(_run("train", section="train", betas=[1.0, 0.999]), "config", 1,
+                     id="train-betas-1"),
         pytest.param(_run("lr-find", "--steps", "1"), "config", 1, id="lr-find-steps-1"),
         pytest.param(_run("lr-find", "--lr-lo", "1", "--lr-hi", "0.1"), "config", 1,
                      id="lr-find-reversed-range"),

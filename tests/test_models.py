@@ -323,3 +323,37 @@ class TestConvWeightLayout:
             assert stored.tobytes() == np.ascontiguousarray(p.value).tobytes(), name
         clone = load_checkpoint(tmp_path)
         assert all(is_tap_major(p.value) for p in self.conv_weights(clone).values())
+
+
+def tree_names(module, table, prefix=""):
+    """Dotted names of ``module``'s ``table`` entries ("_params" or
+    "_buffers"), the module's own first, then each child's in turn."""
+    names = [prefix + name for name in getattr(module, table)]
+    for name, child in module._modules.items():
+        names += tree_names(child, table, prefix + name + ".")
+    return names
+
+
+def tree_modules(module):
+    yield module
+    for child in module._modules.values():
+        yield from tree_modules(child)
+
+
+class TestModuleTree:
+    def test_state_dict_keys_follow_the_module_tree(self):
+        model = build_model(tiny_spec("cmtsk"))
+        params = tree_names(model, "_params")
+        assert [name for name, _ in model.named_parameters()] == params
+        assert [name for name, _ in model.named_buffers()] == tree_names(model, "_buffers")
+        assert list(model.state_dict()) == params + tree_names(model, "_buffers")
+
+    def test_eval_and_train_reach_every_descendant(self):
+        model = build_model(tiny_spec("cmtsk"))
+        modules = list(tree_modules(model))
+        assert model.eval() is model
+        assert not any(m.training for m in modules)
+        assert model.train() is model
+        assert all(m.training for m in modules)
+        model.train(False)
+        assert not any(m.training for m in modules)

@@ -215,7 +215,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kw", [
         {"plateau_factor": 0.0}, {"plateau_factor": 1.0},
         {"micro_batch": 0}, {"aggregate_steps": 0},
-        {"loss_id": "iou"}])
+        {"loss_id": "iou"},
+        {"betas": (1.0, 0.999)}, {"betas": (0.9, 1.0)}, {"betas": (-0.1, 0.999)},
+        {"betas": (0.9,)}, {"lr": -1e-3}, {"lr": float("nan")}])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
