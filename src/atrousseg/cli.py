@@ -12,7 +12,6 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +59,10 @@ def _load_run_config(args):
 def _checked_records(cfg):
     """(train, val) records: unreadable data is a data error, and a model,
     data and split that do not fit are a config error."""
+    with _reraise("data", OSError, ValueError):
+        records = pipeline.build_records(cfg.data)
     with _reraise("config", ValueError):
-        return pipeline.prepare_records(cfg, partial(_reraise, "data", OSError, ValueError))
+        return pipeline.prepare_records(cfg, records)
 
 
 def cmd_synth(args) -> int:
@@ -105,7 +106,7 @@ def cmd_train(args) -> int:
     train_recs, val_recs = _checked_records(cfg)
     # ValueError: an empty val part, or an out_dir holding the working directory
     with _reraise("data", OSError), _reraise("config", ValueError):
-        model, result, paths = pipeline.run_training(cfg, train_recs, val_recs)
+        result = pipeline.run_training(cfg, train_recs, val_recs)
     if result.halted:
         raise CliError("numeric",
                        f"non-finite loss after epoch {len(result.history)}; "
@@ -113,7 +114,7 @@ def cmd_train(args) -> int:
     last = result.history[-1]
     print(f"trained {len(result.history)} epochs; "
           f"best val loss {result.best_val_loss:.6f} at epoch {result.best_epoch}; "
-          f"final val MCC {last.val_mcc:.4f}; artifacts in {paths['checkpoint'].parent}")
+          f"final val MCC {last.val_mcc:.4f}; artifacts in {Path(cfg.out_dir)}")
     return 0
 
 

@@ -54,8 +54,6 @@ class RunConfig:
 _SECTION_TYPES = {"model": ModelSpec, "train": TrainConfig,
                   "data": DataConfig, "augment": AugmentConfig}
 
-_TUPLE_FIELDS = {"betas", "scale_range", "split"}
-
 # Runtime-only fields that never come from the config file.
 _NOT_IN_FILE = {"train": {"augment"}}
 
@@ -70,7 +68,7 @@ def _build_section(cls, payload: dict, section: str):
                          f"{sorted(unknown)} (allowed: {sorted(allowed)})")
     kwargs = {}
     for key, value in payload.items():
-        if key in _TUPLE_FIELDS and isinstance(value, list):
+        if isinstance(value, list):  # no field takes a list
             value = tuple(value)
         if key == "max_extent" and isinstance(value, dict):
             value = {int(k): int(v) for k, v in value.items()}
@@ -82,20 +80,15 @@ def parse_config(document: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, rejecting unknown keys."""
     if not isinstance(document, dict):
         raise ValueError("config root must be a JSON object")
-    known = {"model", "train", "data", "augment", "out_dir"}
+    known = {*_SECTION_TYPES, "out_dir"}
     unknown = set(document) - known
     if unknown:
         raise ValueError(f"unknown top-level config keys: {sorted(unknown)} "
                          f"(allowed: {sorted(known)})")
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in document and document[name] is not None:
-            sections[name] = _build_section(cls, document[name], name)
-        elif name == "augment":
-            sections[name] = None
-        else:
-            sections[name] = cls()
-    out_dir = document.get("out_dir", "runs/out")
+    # a section that is absent or null keeps RunConfig's default
+    sections = {name: _build_section(cls, document[name], name)
+                for name, cls in _SECTION_TYPES.items() if document.get(name) is not None}
+    out_dir = document.get("out_dir", RunConfig.out_dir)
     if not isinstance(out_dir, str) or not out_dir:
         raise ValueError("out_dir must be a non-empty string")
     return RunConfig(out_dir=out_dir, **sections)
@@ -139,14 +132,8 @@ def snapshot(cfg: RunConfig) -> dict:
     from the snapshot it wrote.  train.augment is runtime-only state (the
     top-level augment section is its source of truth) and stays out.
     """
-    doc = {
-        "model": asdict(cfg.model),
-        "train": asdict(cfg.train),
-        "data": asdict(cfg.data),
-        "augment": asdict(cfg.augment) if cfg.augment is not None else None,
-        "out_dir": cfg.out_dir,
-    }
-    doc["train"].pop("augment", None)
+    doc = asdict(cfg)
+    doc["train"].pop("augment")
     doc["data"]["max_extent"] = {str(k): v for k, v in cfg.data.max_extent.items()}
     return doc
 

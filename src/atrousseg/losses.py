@@ -21,14 +21,13 @@ from .autodiff import Node, ShapeError, accumulate, as_node, make_node
 
 EPS = 1e-5
 
-LOSS_IDS = ("d1", "d2", "tanimoto",
-            "d1-complement", "d2-complement", "tanimoto-complement")
-
 # (A + eps) / (B + eps): the coefficients of A (first row) and B (second
 # row) in the five sums (sum p, sum l, sum p*l, sum p^2, sum l^2).
 _RATIOS = {"d1": ((0, 0, 2, 0, 0), (1, 1, 0, 0, 0)),
            "d2": ((0, 0, 2, 0, 0), (0, 0, 0, 1, 1)),
            "tanimoto": ((0, 0, 1, 0, 0), (0, 0, -1, 1, 1))}
+
+LOSS_IDS = (*_RATIOS, *(k + "-complement" for k in _RATIOS))
 
 # Over n elements the five sums of (1 - p, 1 - l) are n + _COMPLEMENT @ sums.
 _COMPLEMENT = np.array([[-1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [-1, -1, 1, 0, 0],

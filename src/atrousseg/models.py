@@ -62,6 +62,18 @@ class ModelSpec:
     def size_divisor(self) -> int:
         return 2 ** (self.n_levels - 1)
 
+    def check_image_size(self, h: int, w: int) -> None:
+        """Raise ShapeError unless the model takes h x w images: both sides
+        divisible by ``size_divisor`` and, since the d7v1 middle pools 2x2
+        cells of a square map, square with sides divisible by twice that."""
+        div = self.size_divisor
+        if h % div or w % div:
+            raise ShapeError(
+                f"{self.depth} input spatial size must be divisible by {div}, got {h}x{w}")
+        if self.depth == "d7v1" and (h != w or h % (2 * div)):
+            raise ShapeError(f"d7v1 needs square inputs with sides divisible by "
+                             f"{2 * div}, got {h}x{w}")
+
 
 @dataclass
 class MultiHeadOutput:
@@ -80,18 +92,14 @@ class MultiHeadOutput:
 
 class _MiddleV1(Module):
     # 2x2 max pooling broadcast back over each pooled block, concatenated with
-    # the input and fused by a biased 1x1 convolution.
+    # the input and fused by a biased 1x1 convolution.  The map is square with
+    # even sides, which ModelSpec.check_image_size asks of the model input.
     def __init__(self, channels, rng):
         super().__init__()
         self.proj = Conv2d(2 * channels, channels, 1, bias=True, rng=rng)
 
     def forward(self, x) -> Node:
-        n, c, h, w = x.shape
-        if h != w or h % 2:
-            raise ShapeError(
-                f"d7v1 middle needs a square feature map with even extent, got {h}x{w}; "
-                "use inputs divisible by 128")
-        pooled = nnops.max_pool_grid(x, cells=h // 2)
+        pooled = nnops.max_pool_grid(x, cells=x.shape[2] // 2)
         return self.proj(nnops.concat_channels([pooled, x]))
 
 
@@ -238,11 +246,7 @@ class SegmentationModel(Module):
         if c != self.spec.input_channels:
             raise ShapeError(
                 f"model expects {self.spec.input_channels} input channels, got {c}")
-        div = self.spec.size_divisor
-        if h % div or w % div:
-            raise ShapeError(
-                f"{self.spec.depth} input spatial size must be divisible by {div}, "
-                f"got {h}x{w}")
+        self.spec.check_image_size(h, w)
         return self.head(self.trunk(x))
 
     def predict(self, x) -> dict[str, np.ndarray]:

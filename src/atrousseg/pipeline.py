@@ -11,7 +11,7 @@ from .augment import PatchRef, split_dataset
 from .config import DataConfig, RunConfig, write_snapshot
 from .labels import SampleRecord, derive_record
 from .models import build_model, param_count, save_checkpoint
-from .trainer import evaluate_records, history_to_csv, train
+from .trainer import history_to_csv, train
 
 
 def build_records(data: DataConfig) -> list[SampleRecord]:
@@ -42,21 +42,14 @@ def check_model_fits(cfg: RunConfig, records) -> None:
     for got in sorted({r.image.shape[0] for r in records}):
         if got != want:
             raise ValueError(f"model.input_channels ({want}) must equal {data_key} ({got})")
-    div = cfg.model.size_divisor
     for h, w in sorted({r.image.shape[1:] for r in records}):
-        if h % div or w % div:
-            raise ValueError(f"model.depth {cfg.model.depth} needs image sides divisible "
-                             f"by {div}, got {h}x{w}")
+        cfg.model.check_image_size(h, w)
 
 
-def prepare_records(cfg: RunConfig, loading):
-    """Load, check and split a run's records into (train, val); val may be empty.
-
-    Loading runs inside the context manager ``loading()``, so a caller can tell
-    unreadable data from a model, data and split that do not fit (ValueError).
-    """
-    with loading():
-        records = build_records(cfg.data)
+def prepare_records(cfg: RunConfig, records):
+    """Check a run's records against its model and split them into (train,
+    val); val may be empty.  A model, data and split that do not fit raise
+    ValueError."""
     check_model_fits(cfg, records)
     train_recs, val_recs, _ = split_records(records, cfg.data.split, cfg.data.seed)
     if not train_recs:
@@ -69,8 +62,9 @@ def run_training(cfg: RunConfig, train_recs, val_recs):
     """Train on the records of ``prepare_records``; writes snapshot, history
     CSV, checkpoint, metrics.
 
-    An empty val part is refused before anything is written.
-    Returns (model, TrainResult, dict of artifact paths).
+    An empty val part is refused before anything is written.  The summary's
+    final val loss and MCC are those of the restored best epoch, or null when
+    no epoch was validated.  Returns the TrainResult.
     """
     if not val_recs:
         raise ValueError("split produced an empty val set; "
@@ -83,13 +77,13 @@ def run_training(cfg: RunConfig, train_recs, val_recs):
     result = train(model, train_recs, val_recs, train_cfg)
 
     history_to_csv(result.history, out / "history.csv")
-    ckpt_dir = save_checkpoint(model, out / "checkpoint")
-    val_loss, val_mcc = evaluate_records(model, val_recs, train_cfg.loss_id,
-                                         train_cfg.micro_batch, cfg.model.n_classes)
+    save_checkpoint(model, out / "checkpoint")
+    best = result.history[result.best_epoch] if result.best_epoch >= 0 else None
+    val_loss, val_mcc = (best.val_loss, best.val_mcc) if best else (None, None)
     summary = {
         "epochs_run": len(result.history),
         "best_epoch": result.best_epoch,
-        "best_val_loss": result.best_val_loss,
+        "best_val_loss": val_loss,
         "final_val_loss": val_loss,
         "final_val_mcc": val_mcc,
         "halted": result.halted,
@@ -97,7 +91,5 @@ def run_training(cfg: RunConfig, train_recs, val_recs):
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
-    paths = {"config": out / "config.json", "history": out / "history.csv",
-             "checkpoint": ckpt_dir, "summary": out / "summary.json"}
-    return model, result, paths
+    return result
 

@@ -44,6 +44,8 @@ class SceneSpec:
         if self.shapes_per_class < 1:
             # zero shapes would make the >=2-classes redraw loop spin forever
             raise ValueError(f"shapes_per_class must be >= 1, got {self.shapes_per_class}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

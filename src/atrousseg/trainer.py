@@ -170,6 +170,8 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.micro_batch < 1 or self.aggregate_steps < 1:
             raise ValueError("micro_batch and aggregate_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.loss_id not in LOSS_IDS:
             raise ValueError(f"unknown loss id {self.loss_id!r}; choose from {LOSS_IDS}")
 

@@ -7,9 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from atrousseg import fileio
+from atrousseg import fileio, pipeline
 from atrousseg.cli import main
+from atrousseg.config import load_config
 from atrousseg.models import param_count, build_model, ModelSpec, save_checkpoint
+from atrousseg.trainer import TrainResult
 
 
 def write_config(tmp_path, **extra):
@@ -321,6 +323,11 @@ class TestOneErrorLineBeforeAnyWrite:
         pytest.param(_run("train", "--epochs", "0"), "config", 1, id="train-epochs-0"),
         pytest.param(_run("train", section="train", betas=[1.0, 0.999]), "config", 1,
                      id="train-betas-1"),
+        pytest.param(_run("train", section="train", seed=-1), "config", 1,
+                     id="train-seed-negative"),
+        pytest.param(_run("train", seed=-1), "config", 1, id="train-data-seed-negative"),
+        *(pytest.param(_run(command, section="model", depth="d7v1"), "config", 1,
+                       id=f"{command}-d7v1-size-64") for command in ("train", "lr-find")),
         pytest.param(_run("lr-find", "--steps", "1"), "config", 1, id="lr-find-steps-1"),
         pytest.param(_run("lr-find", "--lr-lo", "1", "--lr-hi", "0.1"), "config", 1,
                      id="lr-find-reversed-range"),
@@ -367,6 +374,27 @@ class TestTrainPipeline:
         assert summary["param_count"] > 0
         manifest = json.loads((run / "checkpoint" / "manifest.json").read_text())
         assert manifest["format"] == "nct1"
+
+    def test_summary_reports_the_restored_best_epoch(self, trained_run):
+        summary = json.loads((trained_run / "run" / "summary.json").read_text())
+        assert summary["final_val_loss"] == summary["best_val_loss"]
+
+    def test_unvalidated_run_writes_null_metrics(self, tmp_path, monkeypatch):
+        # a run that halts in epoch 0 has no validated epoch to report
+        cfg = load_config(write_config(tmp_path))
+        records = pipeline.build_records(cfg.data)
+        halted = TrainResult(history=[], best_epoch=-1, best_val_loss=float("inf"),
+                             halted=True)
+        monkeypatch.setattr(pipeline, "train", lambda *args: halted)
+        pipeline.run_training(cfg, records[:2], records[2:])
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert [summary[k] for k in ("best_val_loss", "final_val_loss", "final_val_mcc")] \
+            == [None, None, None]
 
     def test_snapshot_rerun_reproduces_history(self, trained_run):
         run = trained_run / "run"

@@ -36,6 +36,18 @@ class TestModelSpec:
         assert ModelSpec(depth="d7v1").size_divisor == 64
         assert ModelSpec(depth="d7v2").size_divisor == 64
 
+    @pytest.mark.parametrize("depth, h, w, ok", [
+        ("d7v1", 128, 128, True), ("d7v1", 128, 256, False), ("d7v1", 192, 192, False),
+        ("d7v1", 64, 64, False), ("d7v2", 64, 64, True),
+        ("d6", 64, 96, True), ("d6", 80, 80, False)])
+    def test_check_image_size(self, depth, h, w, ok):
+        spec = ModelSpec(depth=depth)
+        if ok:
+            spec.check_image_size(h, w)
+        else:
+            with pytest.raises(ShapeError, match=f"got {h}x{w}"):
+                spec.check_image_size(h, w)
+
     @pytest.mark.parametrize("kw", [
         {"depth": "d9"}, {"head": "triple"}, {"initial_filters": 0},
         {"n_classes": 1}, {"input_channels": 0},

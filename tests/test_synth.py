@@ -36,7 +36,7 @@ def replay_mask(size, shapes):
 class TestSceneSpec:
     @pytest.mark.parametrize("kw", [
         {"size": 32}, {"n_classes": 2}, {"channels": 5}, {"n_images": 0},
-        {"shapes_per_class": 0}])
+        {"shapes_per_class": 0}, {"seed": -1}])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SceneSpec(**kw)

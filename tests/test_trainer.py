@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import atrousseg.trainer as trainer_mod
+from atrousseg.augment import AugmentConfig
 from atrousseg.autodiff import Node, parameter
 from atrousseg.blocks import Conv2DN
 from atrousseg.labels import derive_record
@@ -217,7 +218,7 @@ class TestTrainConfig:
         {"micro_batch": 0}, {"aggregate_steps": 0},
         {"loss_id": "iou"},
         {"betas": (1.0, 0.999)}, {"betas": (0.9, 1.0)}, {"betas": (-0.1, 0.999)},
-        {"betas": (0.9,)}, {"lr": -1e-3}, {"lr": float("nan")}])
+        {"betas": (0.9,)}, {"lr": -1e-3}, {"lr": float("nan")}, {"seed": -1}])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
@@ -336,6 +337,19 @@ class TestTrainLoop:
         final = model.state_dict()
         for key, want in snapshots[1].items():
             assert np.array_equal(final[key], want), key
+
+    @pytest.mark.parametrize("augment", [None, AugmentConfig()], ids=["plain", "augmented"])
+    def test_restored_state_reproduces_best_validation(self, rng, augment):
+        # Validating the restored model again gives the best epoch's loss and
+        # MCC bit for bit: same state, same buffers, same record order.
+        recs = make_records(rng, 7)
+        cfg = TrainConfig(lr=0.5, micro_batch=2, max_epochs=4, seed=5,
+                          loss_id="tanimoto-complement", augment=augment)
+        model = tiny_model(head="cmtsk")
+        res = train(model, recs[:4], recs[4:], cfg)
+        assert res.best_epoch < len(res.history) - 1  # an earlier state was restored
+        again = evaluate_records(model, recs[4:], cfg.loss_id, cfg.micro_batch, 3)
+        assert again == (res.best_val_loss, res.history[res.best_epoch].val_mcc)
 
     def test_non_finite_loss_halts(self, rng):
         model = tiny_model()
