@@ -4,8 +4,9 @@ distance transforms, and HSV color targets.
 Everything is derived from the integer mask and the image alone.  The image
 border is treated as off-class for both the boundary and the distance
 transform, so an object touching the frame still has a boundary there.
-scipy is imported inside the two functions that call it, so a process that
-derives no labels (inference, evaluation) never loads it.
+scipy is imported only inside ``get_distance`` (and augmentation's affine
+warp), so a process that derives no labels (inference, evaluation) never
+loads it.
 """
 
 from __future__ import annotations
@@ -48,30 +49,34 @@ def _check_mask(mask, n_classes: int) -> np.ndarray:
 def one_hot(mask, n_classes: int, dtype=np.float32) -> np.ndarray:
     """Expand an integer mask (H, W) to exact one-hot planes (K, H, W)."""
     m = _check_mask(mask, n_classes)
-    eye = np.eye(n_classes, dtype=dtype)
-    return eye[m].transpose(2, 0, 1)
+    return (m == np.arange(n_classes)[:, None, None]).astype(dtype)
 
 
-def _framed(binary) -> np.ndarray:
-    """A 2-D binary plane as bool, inside a one-pixel border of off-pixels."""
-    m = np.asarray(binary).astype(bool)
+def _plane(binary) -> np.ndarray:
+    """A 2-D binary plane as bool; a bool plane is not copied."""
+    m = np.asarray(binary, dtype=bool)
     if m.ndim != 2:
         raise ValueError(f"binary plane must be 2-D, got shape {m.shape}")
-    return np.pad(m, 1, mode="constant", constant_values=False)
+    return m
 
 
 def get_boundary(binary) -> np.ndarray:
     """Class boundary of a binary plane, dilated once with the 3x3 cross.
 
     A boundary pixel is an on-pixel with at least one 4-neighbor off-pixel;
-    positions outside the frame count as off.
+    positions outside the frame count as off.  The dilation is the OR of the
+    edge with its four one-pixel shifts, nothing shifting in from outside.
     """
-    from scipy import ndimage
-    padded = _framed(binary)
+    padded = np.pad(_plane(binary), 1)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
     edge = padded[1:-1, 1:-1] & ~interior
-    return ndimage.binary_dilation(edge).astype(np.uint8)
+    out = edge.copy()
+    out[1:] |= edge[:-1]
+    out[:-1] |= edge[1:]
+    out[:, 1:] |= edge[:, :-1]
+    out[:, :-1] |= edge[:, 1:]
+    return out.view(np.uint8)
 
 
 def get_distance(binary, normalize: bool = True) -> np.ndarray:
@@ -79,9 +84,20 @@ def get_distance(binary, normalize: bool = True) -> np.ndarray:
 
     Positions outside the frame count as off.  With ``normalize`` the plane
     is min-max scaled to [0, 1]; a constant plane maps to zeros.
+
+    The transform runs only on the bounding box of the on-pixels inside one
+    ring of off-pixels (the frame where the box touches it); every pixel
+    outside the box is off and stays 0.  That is exact: the nearest off-pixel
+    of an on-pixel, if outside the ring, clamps onto a ring pixel that is no
+    farther along either axis.
     """
-    from scipy import ndimage
-    d = ndimage.distance_transform_edt(_framed(binary))[1:-1, 1:-1]
+    m = _plane(binary)
+    d = np.zeros(m.shape)
+    rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+    if rows.size:
+        from scipy import ndimage
+        box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+        d[box] = ndimage.distance_transform_edt(np.pad(m[box], 1))[1:-1, 1:-1]
     if not normalize:
         return d
     lo, hi = d.min(), d.max()
@@ -153,8 +169,11 @@ def derive_record(image, mask, n_classes: int, dtype=np.float32) -> SampleRecord
     m = np.asarray(mask)
     check_sample(img, m, n_classes)
     oh = one_hot(m, n_classes, dtype=dtype)
-    boundary = np.stack([get_boundary(oh[k]) for k in range(n_classes)]).astype(dtype)
-    distance = np.stack([get_distance(oh[k]) for k in range(n_classes)]).astype(dtype)
+    boundary, distance = np.empty_like(oh), np.empty_like(oh)
+    for k in range(n_classes):
+        plane = m == k
+        boundary[k] = get_boundary(plane)
+        distance[k] = get_distance(plane)
     hsv = rgb_to_hsv(img[:3]).astype(dtype)
     return SampleRecord(image=img, mask=m, onehot=oh,
                         boundary=boundary, distance=distance, hsv=hsv)

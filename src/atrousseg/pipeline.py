@@ -48,13 +48,23 @@ def check_model_fits(cfg: RunConfig, records) -> None:
 
 def prepare_records(cfg: RunConfig, records):
     """Check a run's records against its model and split them into (train,
-    val); val may be empty.  A model, data and split that do not fit raise
-    ValueError."""
+    val); val may be empty.  A model, data, split and micro-batch that do
+    not fit raise ValueError."""
     check_model_fits(cfg, records)
     train_recs, val_recs, _ = split_records(records, cfg.data.split, cfg.data.seed)
     if not train_recs:
         raise ValueError("split produced an empty train set; "
                          "increase data.n_images or adjust data.split")
+    # train and lr-find both cut the train part into micro_batch chunks, so a
+    # one-image chunk exists exactly when the count leaves a remainder of one
+    mb, div = cfg.train.micro_batch, cfg.model.size_divisor
+    if ((mb == 1 or len(train_recs) % mb == 1)
+            and any(r.image.shape[1:] == (div, div) for r in train_recs)):
+        raise ValueError(
+            f"train.micro_batch {mb} leaves a one-image micro-batch of the "
+            f"{len(train_recs)} train images, and a {div}x{div} image has a 1x1 "
+            f"deepest {cfg.model.depth} plane: train-mode batch norm needs more "
+            f"than one value per channel")
     return train_recs, val_recs
 
 

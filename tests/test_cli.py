@@ -1,6 +1,7 @@
 """Command-line surface: happy paths, artifacts on disk, exit codes, and the
 one-line error protocol on stderr."""
 
+import dataclasses
 import json
 import re
 
@@ -10,6 +11,7 @@ import pytest
 from atrousseg import fileio, pipeline
 from atrousseg.cli import main
 from atrousseg.config import load_config
+from atrousseg.labels import derive_record
 from atrousseg.models import param_count, build_model, ModelSpec, save_checkpoint
 from atrousseg.trainer import TrainResult
 
@@ -274,10 +276,16 @@ class TestMalformedInput:
 
 def _run(command, *flags, section="data", **values):
     """argv builder: ``command`` on write_config's run, one section updated."""
+    return _run_sections(command, *flags, **{section: values})
+
+
+def _run_sections(command, *flags, **sections):
+    """argv builder: ``command`` on write_config's run, each named section updated."""
     def make(tmp_path):
         cfg = write_config(tmp_path)
         doc = json.loads(cfg.read_text())
-        doc[section].update(values)
+        for section, values in sections.items():
+            doc[section].update(values)
         cfg.write_text(json.dumps(doc))
         return [command, "--config", str(cfg), *flags]
     return make
@@ -328,6 +336,13 @@ class TestOneErrorLineBeforeAnyWrite:
         pytest.param(_run("train", seed=-1), "config", 1, id="train-data-seed-negative"),
         *(pytest.param(_run(command, section="model", depth="d7v1"), "config", 1,
                        id=f"{command}-d7v1-size-64") for command in ("train", "lr-find")),
+        # 64 px images leave d7v2 a 1x1 deepest plane; a one-image micro-batch
+        # comes from micro_batch 1, or from 3 train images in micro-batches of 2
+        *(pytest.param(_run_sections(command, model={"depth": "d7v2"}, **data), "config", 1,
+                       id=f"{command}-d7v2-{name}")
+          for command in ("train", "lr-find")
+          for name, data in [("micro-batch-1", {"train": {"micro_batch": 1}}),
+                             ("3-train-images", {"data": {"n_images": 6}})]),
         pytest.param(_run("lr-find", "--steps", "1"), "config", 1, id="lr-find-steps-1"),
         pytest.param(_run("lr-find", "--lr-lo", "1", "--lr-hi", "0.1"), "config", 1,
                      id="lr-find-reversed-range"),
@@ -350,6 +365,35 @@ class TestOneErrorLineBeforeAnyWrite:
     def test_loss_field_bad_gt_writes_nothing(self, tmp_path, gt):
         assert main(_loss_field_gt(gt)(tmp_path)) == 1
         assert not (tmp_path / "run").exists()
+
+
+class TestPrepareRecords:
+    """A one-image micro-batch whose deepest plane is 1x1 is refused up front:
+    train-mode batch norm would see one value per channel there."""
+
+    @pytest.mark.parametrize("depth, side, micro_batch, n_images, refused", [
+        ("d6", 32, 2, 6, True),      # 3 train images: remainder 1
+        ("d6", 32, 2, 4, False),     # 2 train images: one full micro-batch
+        ("d6", 32, 1, 4, True),
+        ("d6", 64, 1, 4, False),     # deepest plane 2x2
+        ("d7v2", 64, 3, 8, True),    # 4 train images: remainder 1
+        ("d7v2", 64, 3, 6, False),   # 3 train images: one full micro-batch
+        ("d7v2", 128, 1, 4, False),
+    ])
+    def test_one_image_micro_batch_at_1x1(self, tmp_path, depth, side, micro_batch,
+                                          n_images, refused):
+        cfg = load_config(write_config(tmp_path))
+        cfg = dataclasses.replace(
+            cfg, model=dataclasses.replace(cfg.model, depth=depth),
+            train=dataclasses.replace(cfg.train, micro_batch=micro_batch))
+        rng = np.random.default_rng(0)
+        records = [derive_record(rng.random((3, side, side)), rng.integers(0, 3, (side, side)), 3)
+                   for _ in range(n_images)]
+        if refused:
+            with pytest.raises(ValueError, match="one-image micro-batch"):
+                pipeline.prepare_records(cfg, records)
+        else:
+            pipeline.prepare_records(cfg, records)
 
 
 @pytest.fixture(scope="module")

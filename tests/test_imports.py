@@ -1,5 +1,5 @@
-"""Inference and checkpoint paths run without scipy; only label derivation
-and augmentation load it."""
+"""Inference and checkpoint paths run without scipy, and so do the one-hot
+and boundary targets; only the distance transform and augmentation load it."""
 
 import os
 import subprocess
@@ -32,6 +32,9 @@ SCRIPT = textwrap.dedent("""
     assert "scipy.ndimage" not in sys.modules, "inference loaded scipy.ndimage"
 
     mask = np.random.default_rng(1).integers(0, 3, (40, 40))
+    labels.one_hot(mask, 3)
+    labels.get_boundary(mask == 1)
+    assert "scipy.ndimage" not in sys.modules, "one_hot or get_boundary loaded scipy.ndimage"
     labels.derive_record(tile, mask, 3)
     assert "scipy.ndimage" in sys.modules, "label derivation did not load scipy.ndimage"
     print("ok")

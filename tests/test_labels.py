@@ -1,5 +1,7 @@
-"""Ground-truth derivation oracles: hand enumerations, a brute-force
-distance scan, and color round-trips."""
+"""Ground-truth derivation oracles: hand enumerations, brute-force boundary
+and distance scans, color round-trips, and a byte digest of derived scenes."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -7,8 +9,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from atrousseg import augment, synth
 from atrousseg.labels import (derive_record, get_boundary, get_distance,
                               hsv_to_rgb, one_hot, rgb_to_hsv)
+
+CROSS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def brute_force_boundary(mask: np.ndarray) -> np.ndarray:
+    """Per-pixel loops: on-pixels with an off 4-neighbor (the frame border
+    counts as off), then one dilation with the 3x3 cross."""
+    m = np.asarray(mask).astype(bool)
+    h, w = m.shape
+
+    def inside(i, j):
+        return 0 <= i < h and 0 <= j < w
+
+    edge = np.zeros((h, w), dtype=bool)
+    for i in range(h):
+        for j in range(w):
+            edge[i, j] = m[i, j] and not all(
+                inside(i + di, j + dj) and m[i + di, j + dj] for di, dj in CROSS)
+    out = np.zeros((h, w), dtype=np.uint8)
+    for i in range(h):
+        for j in range(w):
+            out[i, j] = edge[i, j] or any(
+                inside(i + di, j + dj) and edge[i + di, j + dj] for di, dj in CROSS)
+    return out
 
 
 def brute_force_distance(mask: np.ndarray) -> np.ndarray:
@@ -90,6 +117,14 @@ class TestBoundary:
         b = get_boundary((rng.random((9, 9)) > 0.4).astype(int))
         assert set(np.unique(b)) <= {0, 1}
 
+    def test_matches_brute_force_exactly(self, rng):
+        for _ in range(60):
+            h, w = rng.integers(1, 20, 2)
+            m = (rng.random((h, w)) < rng.uniform(0.1, 0.95)).astype(int)
+            b = get_boundary(m)
+            assert b.dtype == np.uint8
+            assert np.array_equal(b, brute_force_boundary(m))
+
 
 class TestDistance:
     def test_all_zero(self):
@@ -118,6 +153,39 @@ class TestDistance:
     def test_all_on_has_interior_plateau(self):
         d = get_distance(np.ones((7, 7), dtype=int), normalize=False)
         assert d.argmax() == 3 * 7 + 3  # most interior pixel
+
+    # The transform runs on the on-pixels' bounding box inside one off ring;
+    # these planes put that box against each side and corner of the frame.
+    @pytest.mark.parametrize("shape, boxes", [
+        pytest.param((12, 9), [(0, 4, 2, 6)], id="top"),
+        pytest.param((12, 9), [(8, 12, 2, 6)], id="bottom"),
+        pytest.param((12, 9), [(3, 8, 0, 3)], id="left"),
+        pytest.param((12, 9), [(3, 8, 6, 9)], id="right"),
+        pytest.param((12, 9), [(0, 4, 0, 3)], id="top-left"),
+        pytest.param((12, 9), [(0, 4, 5, 9)], id="top-right"),
+        pytest.param((12, 9), [(7, 12, 0, 3)], id="bottom-left"),
+        pytest.param((12, 9), [(7, 12, 5, 9)], id="bottom-right"),
+        pytest.param((12, 9), [(1, 4, 1, 3), (8, 11, 5, 8)], id="two-blobs"),
+        pytest.param((12, 9), [(5, 6, 4, 5)], id="single-pixel"),
+        pytest.param((12, 9), [(0, 1, 8, 9)], id="single-corner-pixel"),
+        pytest.param((12, 9), [(0, 12, 0, 9)], id="full"),
+        pytest.param((12, 9), [], id="empty"),
+        pytest.param((1, 9), [(0, 1, 2, 7)], id="1xN"),
+        pytest.param((9, 1), [(2, 9, 0, 1)], id="Nx1"),
+        pytest.param((1, 9), [(0, 1, 0, 9)], id="1xN-full"),
+        pytest.param((1, 1), [(0, 1, 0, 1)], id="1x1-on"),
+        pytest.param((1, 1), [], id="1x1-off"),
+    ])
+    def test_crop_edge_cases_match_brute_force(self, shape, boxes):
+        m = np.zeros(shape, dtype=bool)
+        for r0, r1, c0, c1 in boxes:
+            m[r0:r1, c0:c1] = True
+        ref = brute_force_distance(m)
+        raw = get_distance(m, normalize=False)
+        assert raw.dtype == np.float64 and np.array_equal(raw, ref)
+        lo, hi = ref.min(), ref.max()
+        norm = (ref - lo) / (hi - lo) if hi > lo else np.zeros_like(ref)
+        assert np.array_equal(get_distance(m), norm)
 
 
 class TestColor:
@@ -169,3 +237,21 @@ class TestDeriveRecord:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="match"):
             derive_record(rng.random((3, 8, 8)), np.zeros((9, 9), dtype=int), 2)
+
+    def test_seeded_scenes_digest(self):
+        # Bytes, dtypes and shapes of every target of three seeded 256 px
+        # six-class scenes, derived and augmented; pins label derivation
+        # bit for bit.
+        digest = hashlib.sha256()
+        scenes = synth.generate(synth.SceneSpec(size=256, n_classes=6, n_images=3, seed=15))
+        for i, scene in enumerate(scenes):
+            rec = derive_record(scene.image, scene.mask, 6)
+            aug = augment.augment_record(rec, augment.AugmentConfig(),
+                                         np.random.default_rng(i))
+            for r in (rec, aug):
+                for name in ("image", "mask", "onehot", "boundary", "distance", "hsv"):
+                    a = getattr(r, name)
+                    digest.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+                    digest.update(a.tobytes())
+        assert digest.hexdigest() == (
+            "a522d317806d77c9a0b4950253ea1468deddefd888fc0a18ffb2d313465923df")
