@@ -9,7 +9,9 @@ Builds a d6 trunk with 32 initial filters and the conditioned multitask
     then the ``zero_grad`` that starts the next step.
 
 It prints the wall seconds of each phase and of the full step (forward,
-backward and optimizer), the absolute sum and a SHA-256 digest of every
+backward and optimizer), the CPU seconds (user plus system, all threads) of
+forward, backward, the eval window and ``Adam.step`` next to them, so that
+work on a second CPU shows, the absolute sum and a SHA-256 digest of every
 parameter gradient and a digest of the parameters after the Adam step (so
 two builds can be checked for bit-identical gradients and updates), the
 process's peak RSS from ``getrusage`` after the backward pass and at the
@@ -56,6 +58,11 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 def sha256_hex(arrays) -> str:
     """SHA-256 of the arrays' bytes in C order, one after another."""
     digest = hashlib.sha256()
@@ -64,11 +71,11 @@ def sha256_hex(arrays) -> str:
     return digest.hexdigest()
 
 
-def timed(fn) -> tuple[float, int]:
-    """Wall seconds and minor page faults of one call of fn."""
-    f0, t0 = minor_faults(), time.perf_counter()
+def timed(fn) -> tuple[float, float, int]:
+    """Wall seconds, CPU seconds and minor page faults of one call of fn."""
+    f0, c0, t0 = minor_faults(), cpu_seconds(), time.perf_counter()
     fn()
-    return time.perf_counter() - t0, minor_faults() - f0
+    return time.perf_counter() - t0, cpu_seconds() - c0, minor_faults() - f0
 
 
 def op_table(tracer: optrace.Tracer, step_s: float) -> dict:
@@ -97,11 +104,11 @@ def main() -> None:
 
     tracer = optrace.Tracer()
     with tracer.installed():
-        f0, t0 = minor_faults(), time.perf_counter()
+        f0, c0, t0 = minor_faults(), cpu_seconds(), time.perf_counter()
         loss, _ = batch_loss(model, [record], "tanimoto-complement")
-        t1 = time.perf_counter()
+        t1, c1 = time.perf_counter(), cpu_seconds()
         loss.backward()
-        t2, f1 = time.perf_counter(), minor_faults()
+        t2, c2, f1 = time.perf_counter(), cpu_seconds(), minor_faults()
     step_rss = peak_rss_mb()
 
     grads = [np.ascontiguousarray(p.grad) for p in params]  # C order: layout-free sums
@@ -109,12 +116,12 @@ def main() -> None:
     grad_digest = sha256_hex(grads)
     del grads
 
-    eval_s, eval_flt = timed(lambda: model.predict(record.image[None]))
+    eval_s, eval_cpu_s, eval_flt = timed(lambda: model.predict(record.image[None]))
 
     opt = Adam(params)
-    adam_s, adam_flt = timed(opt.step)
+    adam_s, adam_cpu_s, adam_flt = timed(opt.step)
     updated_digest = sha256_hex(p.value for p in params)
-    zero_s, zero_flt = timed(opt.zero_grad)
+    zero_s, _, zero_flt = timed(opt.zero_grad)
 
     print(json.dumps({
         "loss": f"{loss.item():.17g}",
@@ -122,6 +129,8 @@ def main() -> None:
         "adam_step_s": round(adam_s, 3), "zero_grad_s": round(zero_s, 3),
         "full_step_s": round(t2 - t0 + adam_s + zero_s, 3),
         "eval_window_s": round(eval_s, 3),
+        "forward_cpu_s": round(c1 - c0, 3), "backward_cpu_s": round(c2 - c1, 3),
+        "eval_window_cpu_s": round(eval_cpu_s, 3), "adam_step_cpu_s": round(adam_cpu_s, 3),
         "grad_abs_sum": f"{grad_abs_sum:.17g}", "grad_sha256": grad_digest,
         "param_sha256_after_adam": updated_digest,
         "peak_rss_mb_after_step": round(step_rss, 1),

@@ -1,5 +1,6 @@
 """Inference and checkpoint paths run without scipy, and so do the one-hot
-and boundary targets; only the distance transform and augmentation load it."""
+and boundary targets; only the distance transform and augmentation load it.
+conv2d starts its worker thread only when a call first needs it."""
 
 import os
 import subprocess
@@ -44,6 +45,51 @@ SCRIPT = textwrap.dedent("""
 def test_inference_path_never_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-1] == "ok"
+
+
+# Runs in a fresh interpreter: no conv2d worker thread exists yet.
+WORKER_SCRIPT = textwrap.dedent("""
+    import os
+    import sys
+    import threading
+
+    import numpy as np
+
+    import atrousseg.evaluate
+    import atrousseg.models
+    from atrousseg import nnops
+    from atrousseg.models import ModelSpec, build_model, load_checkpoint, save_checkpoint
+
+    out = sys.argv[1]
+    spec = ModelSpec(depth="d6", initial_filters=4, n_classes=3, input_channels=3)
+    save_checkpoint(build_model(spec, seed=0), out + "/ck")
+    model = load_checkpoint(out + "/ck")
+    model.predict(np.zeros((1, 3, 32, 32), np.float32))
+    assert "concurrent.futures" not in sys.modules, "set-up loaded concurrent.futures"
+    assert threading.active_count() == 1, threading.enumerate()
+
+    os.sched_getaffinity = lambda pid: {0, 1}
+    small = np.ones((1, 16, 64, 64), np.float32), np.ones((16, 16, 3, 3), np.float32)
+    large = np.ones((1, 32, 64, 64), np.float32), np.ones((32, 32, 3, 3), np.float32)
+    nnops.conv2d(*small)  # in two pieces, both on this thread
+    assert threading.active_count() == 1, threading.enumerate()
+    for _ in range(2):
+        nnops.conv2d(*large)
+        assert threading.active_count() == 2, threading.enumerate()
+    print("ok")
+""")
+
+
+def test_conv2d_worker_starts_on_first_large_call(tmp_path):
+    """Imports, a checkpoint round trip and a small predict start no thread
+    and load no thread pool, nor does a conv2d split in two below
+    nnops._THREAD_MACS; the first call above it starts exactly one worker
+    thread, and later calls reuse it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", WORKER_SCRIPT, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split()[-1] == "ok"

@@ -108,10 +108,21 @@ class TestBoundary:
         assert (b == expected).all()
 
     def test_detection_is_a_fixed_property(self, rng):
-        # Re-running the detection step on the same mask returns the same
-        # plane bitwise; the rule is a property of the mask, not an erosion.
-        m = (rng.random((12, 12)) > 0.5).astype(int)
-        assert (get_boundary(m) == get_boundary(m)).all()
+        # The 4-neighbourhood, the cross dilation and the off border look the
+        # same from every side, so the boundary commutes with the 8 rotations
+        # and flips of the mask; a rule that skips one neighbour or one shift
+        # does not.
+        block = np.zeros((9, 11), dtype=int)
+        block[1:5, 2:9] = 1
+        masks = [block] + [(rng.random(shape) < p).astype(int)
+                           for shape, p in [((12, 12), 0.5), ((7, 10), 0.85), ((1, 6), 0.7)]]
+        for m in masks:
+            b = get_boundary(m)
+            for flip in (False, True):
+                for k in range(4):
+                    def turn(a):
+                        return np.rot90(a.T if flip else a, k)
+                    assert np.array_equal(get_boundary(turn(m)), turn(b)), (m, flip, k)
 
     def test_binary_output(self, rng):
         b = get_boundary((rng.random((9, 9)) > 0.4).astype(int))
