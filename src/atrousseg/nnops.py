@@ -9,20 +9,15 @@ kernel tap reads one contiguous window.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .autodiff import Node, ShapeError, accumulate, as_node, make_node
 
 # conv2d calls of at least _SPLIT_MACS multiply-adds run every tap GEMM as
-# two column pieces (smaller working sets), and from _THREAD_MACS on the
-# second piece runs on a worker thread.  Below that the hand-off costs more
-# than the overlap gains: on a 2-vCPU VM, two threads ran a model whose
-# calls have 9.4M multiply-adds 1-6% slower, and one with 38M 12% faster.
+# two column pieces, one after the other: each piece's working set is
+# smaller, and on a 2-vCPU VM a model whose calls have 9.4M multiply-adds
+# ran its sliding-window inference about 30% faster, on one CPU or two.
 _SPLIT_MACS = 1 << 22
-_THREAD_MACS = 1 << 24
-_worker = None  # the one-thread pool of _both, made on first use
 
 
 def relu(x) -> Node:
@@ -88,11 +83,10 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     value instead of keeping it alive.
 
     A call of at least _SPLIT_MACS (2^22) multiply-adds cuts every tap's
-    GEMM at one fixed 64-aligned column of the flat output.  From
-    _THREAD_MACS (2^24) on, when the process may use two CPUs, a worker
-    thread runs the second piece (for the weight gradient, every other
-    tap).  The cut depends only on the shapes, so the bits are the same on
-    one CPU or two; BLAS itself stays as the caller configured it.
+    forward and input-gradient GEMM at one fixed 64-aligned column of the
+    flat output and runs the two pieces in turn on the calling thread.  The
+    cut depends only on the shapes, so the bits do not depend on the CPU
+    count; conv2d starts no thread, and BLAS runs as the caller set it.
     """
     x, w = as_node(x), as_node(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -173,17 +167,11 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
 def _tap_weight_grad(w, taps, g, src) -> np.ndarray:
     """Weight gradient in w's shape (cout, cin, k, k) and memory layout: for
     each of conv2d's taps (i, j, _, d, s, L), the sum over images of
-    g[:, :, d:d+L] @ src[:, :, s:s+L].T.  From _THREAD_MACS on the odd taps
-    may run beside the even ones (see _both); each tap is one whole GEMM."""
+    g[:, :, d:d+L] @ src[:, :, s:s+L].T."""
     gw = np.zeros_like(w, np.result_type(g, src))
-
-    def run(part):
-        for i, j, _, d, s, size in part:
-            gw[:, :, i, j] = np.matmul(g[:, :, d:d + size],
-                                       src[:, :, s:s + size].transpose(0, 2, 1)).sum(axis=0)
-
-    _both(lambda: run(taps[0::2]), lambda: run(taps[1::2]),
-          _macs(g.shape[0], [t[2:] for t in taps]))
+    for i, j, _, d, s, size in taps:
+        gw[:, :, i, j] = np.matmul(g[:, :, d:d + size],
+                                   src[:, :, s:s + size].transpose(0, 2, 1)).sum(axis=0)
     return gw
 
 
@@ -193,31 +181,23 @@ def _tap_gemms(dst, windows, src) -> None:
     first product is written into dst in place, the others through one
     reused buffer.
 
-    A call of at least _SPLIT_MACS multiply-adds runs as two pieces, the
-    flat output columns before and from the 64-aligned column nearest the
-    middle (when that lies inside the first window), each summing its part
-    of every window in the order above; the second piece may run beside
-    the first (see _both).  A GEMM cut in two can round differently from the
-    whole one, so the pieces are fixed by the shapes alone: the bits do not
-    depend on how many CPUs run them."""
+    A call of at least _SPLIT_MACS multiply-adds runs as two pieces in turn,
+    the flat output columns before and from the 64-aligned column nearest
+    the middle (when that lies inside the first window), each summing its
+    part of every window in the order above.  A GEMM cut in two can round
+    differently from the whole one; the cut depends on the shapes alone."""
     n, c, cols = dst.shape
     m, d, _, size = windows[0]
-    dtype = np.result_type(m, src)
     cut = (cols + 64) // 128 * 64
-    macs = _macs(n, windows)
-    if macs < _SPLIT_MACS or not d < cut < d + size:
-        # the longest window is first
-        buf = np.empty(n * c * size, dtype) if len(windows) > 1 else None
-        _sum_windows(dst, windows, src, buf)
-        return
-    pieces = []
-    for lo, hi in ((0, cut), (cut, cols)):
+    macs = n * sum(m.size * length for m, _, _, length in windows)
+    split = macs >= _SPLIT_MACS and d < cut < d + size
+    pieces = ((0, cut), (cut, cols)) if split else ((0, cols),)
+    # the longest window is first
+    buf = np.empty(n * c * size, np.result_type(m, src)) if len(windows) > 1 else None
+    for lo, hi in pieces:
         part = [(m, a - lo, s + a - start, b - a) for m, start, s, length in windows
                 if (a := max(start, lo)) < (b := min(start + length, hi))]
-        # both product buffers come from the calling thread's heap
-        buf = np.empty(n * c * max((length for *_, length in part[1:]), default=0), dtype)
-        pieces.append((dst[:, :, lo:hi], part, src, buf))
-    _both(lambda: _sum_windows(*pieces[0]), lambda: _sum_windows(*pieces[1]), macs)
+        _sum_windows(dst[:, :, lo:hi], part, src, buf)
 
 
 def _sum_windows(dst, windows, src, buf) -> None:
@@ -231,50 +211,6 @@ def _sum_windows(dst, windows, src, buf) -> None:
         prod = buf[:n * c * size].reshape(n, c, size)
         np.matmul(m, src[:, :, s:s + size], out=prod)
         dst[:, :, d:d + size] += prod
-
-
-def _macs(n, windows) -> int:
-    """Multiply-adds of the GEMMs of n images over windows (m, d, s, L)."""
-    return n * sum(m.size * size for m, _, _, size in windows)
-
-
-def _both(first, second, macs) -> None:
-    """Run first() here and second() on a worker thread when the work has
-    at least _THREAD_MACS multiply-adds and this process may use two CPUs
-    or more; otherwise second() after first()."""
-    global _worker
-    if macs < _THREAD_MACS or _cpus() < 2:
-        first()
-        second()
-        return
-    if _worker is None:
-        # imported here: it pulls in logging, which nothing else needs
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(1, thread_name_prefix="conv2d")
-    future = _worker.submit(second)
-    try:
-        first()
-    except BaseException:
-        future.exception()  # second() writes into the caller's arrays: let it finish
-        raise
-    future.result()
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _drop_worker() -> None:
-    global _worker
-    _worker = None
-
-
-# A forked child has no worker thread: it makes its own on first use.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,

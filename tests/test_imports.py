@@ -1,6 +1,6 @@
 """Inference and checkpoint paths run without scipy, and so do the one-hot
 and boundary targets; only the distance transform and augmentation load it.
-conv2d starts its worker thread only when a call first needs it."""
+Nothing on the model path starts a thread of its own."""
 
 import os
 import subprocess
@@ -50,9 +50,8 @@ def test_inference_path_never_loads_scipy(tmp_path):
     assert res.stdout.split()[-1] == "ok"
 
 
-# Runs in a fresh interpreter: no conv2d worker thread exists yet.
-WORKER_SCRIPT = textwrap.dedent("""
-    import os
+# Runs in a fresh interpreter, which has one thread.
+THREAD_SCRIPT = textwrap.dedent("""
     import sys
     import threading
 
@@ -68,28 +67,20 @@ WORKER_SCRIPT = textwrap.dedent("""
     save_checkpoint(build_model(spec, seed=0), out + "/ck")
     model = load_checkpoint(out + "/ck")
     model.predict(np.zeros((1, 3, 32, 32), np.float32))
-    assert "concurrent.futures" not in sys.modules, "set-up loaded concurrent.futures"
+    x = np.ones((1, 32, 64, 64), np.float32)
+    out = nnops.conv2d(x, np.ones((32, 32, 3, 3), np.float32))  # in two pieces
+    assert out.value.min() == 32 * 4 and out.value.max() == 32 * 9
+    assert "concurrent.futures" not in sys.modules, "loaded concurrent.futures"
     assert threading.active_count() == 1, threading.enumerate()
-
-    os.sched_getaffinity = lambda pid: {0, 1}
-    small = np.ones((1, 16, 64, 64), np.float32), np.ones((16, 16, 3, 3), np.float32)
-    large = np.ones((1, 32, 64, 64), np.float32), np.ones((32, 32, 3, 3), np.float32)
-    nnops.conv2d(*small)  # in two pieces, both on this thread
-    assert threading.active_count() == 1, threading.enumerate()
-    for _ in range(2):
-        nnops.conv2d(*large)
-        assert threading.active_count() == 2, threading.enumerate()
     print("ok")
 """)
 
 
-def test_conv2d_worker_starts_on_first_large_call(tmp_path):
-    """Imports, a checkpoint round trip and a small predict start no thread
-    and load no thread pool, nor does a conv2d split in two below
-    nnops._THREAD_MACS; the first call above it starts exactly one worker
-    thread, and later calls reuse it."""
+def test_model_path_starts_no_thread(tmp_path):
+    """Imports, a checkpoint round trip, a small predict and a conv2d split
+    in two pieces start no thread and load no thread pool."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run([sys.executable, "-c", WORKER_SCRIPT, str(tmp_path)], env=env,
+    res = subprocess.run([sys.executable, "-c", THREAD_SCRIPT, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split()[-1] == "ok"

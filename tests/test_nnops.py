@@ -1,11 +1,6 @@
 """Finite-difference gradient checks (f64) and shape contracts for every
 differentiable tensor op."""
 
-import os
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -230,14 +225,14 @@ class TestConv2dReference:
 
 
 class TestConv2dTwoPieces:
-    """Calls of at least nnops._SPLIT_MACS multiply-adds run every tap GEMM
-    as two fixed column pieces, and from nnops._THREAD_MACS on the second
-    runs on a worker thread when the process may use two CPUs: the bytes
-    must not depend on the CPU count."""
+    """Calls of at least nnops._SPLIT_MACS multiply-adds run every forward
+    and input-gradient tap GEMM as two fixed column pieces, one after the
+    other; smaller calls run each GEMM whole."""
 
-    # (x shape, cout, k, stride, dilation); every case has at least
-    # _THREAD_MACS multiply-adds, so that two CPUs mean two threads
+    # (x shape, cout, k, stride, dilation), each with forward and input
+    # gradient above the threshold
     CASES = [
+        ((1, 32, 32, 32), 32, 3, 1, 3),
         ((1, 32, 64, 64), 32, 3, 1, 1),
         ((2, 16, 64, 64), 16, 3, 1, 3),
         ((1, 32, 64, 64), 32, 3, 1, 15),
@@ -249,49 +244,51 @@ class TestConv2dTwoPieces:
     ]
 
     @staticmethod
-    def on_cpus(monkeypatch, cpus):
-        """Make os.sched_getaffinity report `cpus` CPUs; return the list that
-        gets the multiply-adds of each GEMM set run in two parts."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        split = []
-        both = nnops._both
-        monkeypatch.setattr(nnops, "_both",
-                            lambda *parts: split.append(parts[-1]) or both(*parts))
-        return split
+    def count_pieces(monkeypatch):
+        """Return the list that gets the flat length of every piece that
+        nnops._tap_gemms sums."""
+        pieces = []
+        sum_windows = nnops._sum_windows
 
-    def run(self, monkeypatch, cpus, case, dtype):
-        """Inputs, then forward and all three gradients, then the split sizes."""
+        def counted(dst, *rest):
+            pieces.append(dst.shape[-1])
+            sum_windows(dst, *rest)
+
+        monkeypatch.setattr(nnops, "_sum_windows", counted)
+        return pieces
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-k{c[2]}s{c[3]}d{c[4]}")
+    def test_two_pieces_match_the_reference(self, monkeypatch, case, dtype):
         shape, cout, k, stride, dilation = case
         rng = np.random.default_rng(7)
         x = rng.normal(size=shape).astype(dtype)
         w = rng.normal(size=(cout, shape[1], k, k)).astype(dtype)
         b = rng.normal(size=cout).astype(dtype)
-        split = self.on_cpus(monkeypatch, cpus)
+        pieces = self.count_pieces(monkeypatch)
         xn, wn, bn = upstream(x), upstream(w), upstream(b)
         out = conv2d(xn, wn, bn, stride=stride, dilation=dilation)
         g = rng.normal(size=out.shape).astype(dtype)
         backprop(out, g)
-        return (x, w, b, g), (out.value, xn.grad, wn.grad, bn.grad), split
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-k{c[2]}s{c[3]}d{c[4]}")
-    def test_same_bytes_on_one_cpu_or_two(self, monkeypatch, case, dtype):
-        (x, w, b, g), one, split = self.run(monkeypatch, 1, case, dtype)
-        # forward, weight and input gradients, each big enough for the worker
-        assert len(split) == 3 and min(split) >= nnops._THREAD_MACS
-        _, two, _ = self.run(monkeypatch, 2, case, dtype)
-        for name, a, c in zip(("out", "gx", "gw", "gb"), one, two):
-            assert a.dtype == c.dtype == dtype and a.tobytes() == c.tobytes(), name
-        ref = im2col_conv2d(x, w, b, case[3], case[4], g)
+        assert len(pieces) == 4  # forward and input gradient, two pieces each
+        ref = im2col_conv2d(x, w, b, stride, dilation, g)
         tol = TestConv2dReference.TOL[dtype]
-        for name, got, want in zip(("out", "gx", "gw", "gb"), two, ref):
-            assert rel_err(got, want) <= tol, name
+        for name, got, want in zip(("out", "gx", "gw", "gb"),
+                                   (out.value, xn.grad, wn.grad, bn.grad), ref):
+            assert got.dtype == dtype and rel_err(got, want) <= tol, name
+
+    def test_small_calls_run_whole(self, monkeypatch):
+        pieces = self.count_pieces(monkeypatch)
+        x = upstream(np.ones((1, 16, 32, 32), np.float32))
+        out = conv2d(x, np.ones((16, 16, 3, 3), np.float32), dilation=3)
+        backprop(out, np.ones(out.shape, np.float32))
+        assert len(pieces) == 2
 
     def test_finite_differences_above_the_threshold(self, rng, monkeypatch):
         """Criterion 1's check on one f64 call of two pieces, at sampled
         entries: x in the middle rows of the plane, where the pieces meet,
         and anywhere in w and b."""
-        split = self.on_cpus(monkeypatch, 2)
+        pieces = self.count_pieces(monkeypatch)
         x = rng.normal(size=(2, 16, 64, 64))
         w = rng.normal(size=(16, 16, 3, 3)) * 0.5
         b = rng.normal(size=16)
@@ -302,7 +299,7 @@ class TestConv2dTwoPieces:
 
         nodes = [parameter(a.copy()) for a in (x, w, b)]
         loss(*nodes).backward()
-        assert len(split) == 3 and min(split) >= nnops._THREAD_MACS
+        assert len(pieces) == 4
         picks = [[(int(i), int(c), int(r), int(j)) for i, c, r, j in zip(
                      rng.integers(0, 2, 40), rng.integers(0, 16, 40),
                      rng.integers(28, 36, 40), rng.integers(0, 64, 40))],
@@ -320,85 +317,6 @@ class TestConv2dTwoPieces:
                 num.append((f[0] - f[1]) / (2 * eps))
             got = np.array([node.grad[ix] for ix in idx])
             assert rel_err(got, np.array(num)) < 1e-4, arg
-
-    def test_an_error_in_either_piece_reaches_the_caller_after_both_end(self, monkeypatch):
-        self.on_cpus(monkeypatch, 2)
-        done = []
-
-        def fail():
-            raise RuntimeError("piece")
-
-        def slow():
-            time.sleep(0.05)
-            done.append(1)
-
-        with pytest.raises(RuntimeError, match="piece"):
-            nnops._both(fail, slow, nnops._THREAD_MACS)
-        assert done == [1]  # the worker's piece ended before the error surfaced
-        with pytest.raises(RuntimeError, match="piece"):
-            nnops._both(slow, fail, nnops._THREAD_MACS)
-
-    def test_concurrent_callers_share_the_worker(self, monkeypatch):
-        """Four caller threads, switching every 10 us, queue their second
-        pieces on the one worker: every result has the one-caller bytes."""
-        self.on_cpus(monkeypatch, 2)
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(1, 32, 64, 64)).astype(np.float32)
-        w = rng.normal(size=(32, 32, 3, 3)).astype(np.float32)
-        g = rng.normal(size=x.shape).astype(np.float32)
-
-        def call():
-            xn, wn = upstream(x), upstream(w)
-            out = conv2d(xn, wn, dilation=3)
-            backprop(out, g)
-            return out.value.tobytes() + xn.grad.tobytes() + wn.grad.tobytes()
-
-        want = call()
-        got = []
-
-        def caller():
-            for _ in range(5):
-                got.append(call())
-
-        threads = [threading.Thread(target=caller) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(got) == 20 and all(r == want for r in got)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_starts_its_own_worker(self, monkeypatch):
-        """A child forked after the worker started has no worker thread; it
-        must make its own rather than queue work that never runs."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        x = np.ones((1, 32, 64, 64), np.float32)
-        w = np.ones((32, 32, 3, 3), np.float32)
-        conv2d(x, w)
-        assert nnops._worker is not None
-        pid = os.fork()
-        if pid == 0:  # the child: run one split call, report by exit status
-            code = 1
-            try:
-                code = 0 if conv2d(x, w).value.sum() > 0 else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                assert os.waitstatus_to_exitcode(status) == 0
-                return
-            time.sleep(0.01)
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's conv2d did not finish within 60 s")
 
 
 def bn_errors(rng, shape, training, g_dtype=np.float32, eps=1e-5):
