@@ -15,7 +15,9 @@ work on a second CPU shows, the absolute sum and a SHA-256 digest of every
 parameter gradient and a digest of the parameters after the Adam step (so
 two builds can be checked for bit-identical gradients and updates), the
 process's peak RSS from ``getrusage`` after the backward pass and at the
-end, and the minor page faults (``ru_minflt``) taken during forward plus
+end, ``graph_mb_at_backward``, the MB of op results (non-leaf values) the
+recorded graph holds when backward starts, with its breakdown by producing
+op, and the minor page faults (``ru_minflt``) taken during forward plus
 backward, the eval window, ``Adam.step`` and ``zero_grad``.  Forward and
 backward run under perfbench's tracer (``perfbench/optrace.py``), which
 gives the per-op table ``train_step_ops``: calls, forward and backward ms
@@ -28,6 +30,7 @@ thread for comparable numbers:
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import resource
@@ -37,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from atrousseg.autodiff import recorded_nodes
 from atrousseg.labels import derive_record
 from atrousseg.models import ModelSpec, build_model
 from atrousseg.synth import SceneSpec, generate
@@ -78,6 +82,19 @@ def timed(fn) -> tuple[float, float, int]:
     return time.perf_counter() - t0, cpu_seconds() - c0, minor_faults() - f0
 
 
+def graph_census(root) -> tuple[float, dict]:
+    """MB of the op results the graph under ``root`` holds, in total and by
+    producing op, named from each node's backward closure
+    ("batch_norm.<locals>.backward"; the tracer keeps the name)."""
+    mb, nodes = collections.Counter(), collections.Counter()
+    for node in recorded_nodes(root):
+        op = node._backward.__qualname__.split(".<locals>.")[-2]
+        mb[op] += node.value.nbytes / 2**20
+        nodes[op] += 1
+    return round(sum(mb.values()), 1), {
+        op: {"mb": round(v, 1), "nodes": nodes[op]} for op, v in mb.most_common()}
+
+
 def op_table(tracer: optrace.Tracer, step_s: float) -> dict:
     """Calls, forward and backward ms and train-step share of each traced op."""
     metrics = optrace.layer_metrics(tracer, optrace.Tracer(), units=1,
@@ -107,9 +124,12 @@ def main() -> None:
         f0, c0, t0 = minor_faults(), cpu_seconds(), time.perf_counter()
         loss, _ = batch_loss(model, [record], "tanimoto-complement")
         t1, c1 = time.perf_counter(), cpu_seconds()
+        graph_mb, graph_by_op = graph_census(loss)  # untimed
+        t2, c2 = time.perf_counter(), cpu_seconds()
         loss.backward()
-        t2, c2, f1 = time.perf_counter(), cpu_seconds(), minor_faults()
+        t3, c3, f1 = time.perf_counter(), cpu_seconds(), minor_faults()
     step_rss = peak_rss_mb()
+    step_s = (t1 - t0) + (t3 - t2)
 
     grads = [np.ascontiguousarray(p.grad) for p in params]  # C order: layout-free sums
     grad_abs_sum = sum(float(np.abs(g).sum(dtype=np.float64)) for g in grads)
@@ -125,19 +145,20 @@ def main() -> None:
 
     print(json.dumps({
         "loss": f"{loss.item():.17g}",
-        "forward_s": round(t1 - t0, 3), "backward_s": round(t2 - t1, 3),
+        "forward_s": round(t1 - t0, 3), "backward_s": round(t3 - t2, 3),
         "adam_step_s": round(adam_s, 3), "zero_grad_s": round(zero_s, 3),
-        "full_step_s": round(t2 - t0 + adam_s + zero_s, 3),
+        "full_step_s": round(step_s + adam_s + zero_s, 3),
         "eval_window_s": round(eval_s, 3),
-        "forward_cpu_s": round(c1 - c0, 3), "backward_cpu_s": round(c2 - c1, 3),
+        "forward_cpu_s": round(c1 - c0, 3), "backward_cpu_s": round(c3 - c2, 3),
         "eval_window_cpu_s": round(eval_cpu_s, 3), "adam_step_cpu_s": round(adam_cpu_s, 3),
         "grad_abs_sum": f"{grad_abs_sum:.17g}", "grad_sha256": grad_digest,
         "param_sha256_after_adam": updated_digest,
         "peak_rss_mb_after_step": round(step_rss, 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
+        "graph_mb_at_backward": graph_mb, "graph_at_backward_by_op": graph_by_op,
         "minflt_train_step": f1 - f0, "minflt_eval_window": eval_flt,
         "minflt_adam_step": adam_flt, "minflt_zero_grad": zero_flt,
-        "train_step_ops": op_table(tracer, t2 - t0),
+        "train_step_ops": op_table(tracer, step_s),
     }, indent=2))
 
 

@@ -178,6 +178,13 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
+def recorded_nodes(root: Node) -> list[Node]:
+    """The op results that the graph under ``root`` holds, root included:
+    what a backward walk from ``root`` keeps alive until it reaches them.
+    Parameters and constants (leaves) are left out."""
+    return [node for node in _toposort(root) if node._backward is not None]
+
+
 def parameter(value, dtype=None) -> Node:
     """Create a trainable leaf node with a zero-initialised gradient."""
     return Node(np.array(value, dtype=dtype), requires_grad=True)
@@ -216,17 +223,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # -- arithmetic primitives ------------------------------------------------
 
-def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    out = a.value + b.value
+def add(a, b, *rest) -> Node:
+    """Elementwise sum.  Two operands broadcast.  Each further operand must
+    have the shape and dtype of ``a + b``; it is added into that buffer, left
+    to right, which gives the bits of chained ``+`` in one node that keeps no
+    partial sums.  Every parent gets the same upstream gradient."""
+    xs = tuple(as_node(v) for v in (a, b, *rest))
+    out = xs[0].value + xs[1].value
+    for v in xs[2:]:
+        if v.shape != out.shape or v.dtype != out.dtype:
+            raise ShapeError(
+                f"add: operand {v.shape} {v.dtype} does not match the sum {out.shape} {out.dtype}")
+        out += v.value
 
     def backward(g):
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(g, b.value.shape))
+        for v in xs:
+            if v.requires_grad:
+                accumulate(v, _unbroadcast(g, v.value.shape))
 
-    return make_node(out, (a, b), backward)
+    return make_node(out, xs, backward)
 
 
 def mul(a, b) -> Node:

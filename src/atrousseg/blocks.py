@@ -10,7 +10,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import nnops
+from . import autodiff, nnops
 from .autodiff import Node, ShapeError, as_node
 from .modules import BatchNorm2d, Conv2d, Module, ModuleList
 
@@ -33,7 +33,8 @@ class BlockConfig:
 
 
 class Conv2DN(Module):
-    """Stride-1 undilated convolution (no bias) followed by batch normalisation."""
+    """Stride-1 undilated convolution (no bias) followed by batch normalisation,
+    rectified in the same op when ``relu=True``."""
 
     def __init__(self, in_channels: int, filters: int, kernel: int = 1, *,
                  rng: np.random.Generator, dtype=np.float32):
@@ -41,12 +42,13 @@ class Conv2DN(Module):
         self.conv = Conv2d(in_channels, filters, kernel, bias=False, rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(filters, dtype=dtype)
 
-    def forward(self, x) -> Node:
-        return self.bn(self.conv(x))
+    def forward(self, x, relu: bool = False) -> Node:
+        return self.bn(self.conv(x), relu=relu)
 
 
 class _AtrousBranch(Module):
-    # Pre-activation pair: BN -> ReLU -> Conv(k, d) -> BN -> ReLU -> Conv(k, d).
+    # Pre-activation pair: BN -> ReLU -> Conv(k, d) -> BN -> ReLU -> Conv(k, d),
+    # each BN -> ReLU one batch_norm node that rectifies in place.
     def __init__(self, channels, kernel, dilation, rng, dtype):
         super().__init__()
         self.bn1 = BatchNorm2d(channels, dtype=dtype)
@@ -57,15 +59,18 @@ class _AtrousBranch(Module):
                             bias=False, rng=rng, dtype=dtype)
 
     def forward(self, x) -> Node:
-        h = self.conv1(nnops.relu(self.bn1(x)))
-        return self.conv2(nnops.relu(self.bn2(h)))
+        h = self.conv1(self.bn1(x, relu=True))
+        return self.conv2(self.bn2(h, relu=True))
 
 
 class ResBlockA(Module):
     """Residual unit with parallel atrous branches summed with the identity.
 
     The summation order is fixed: identity first, then branches in ascending
-    dilation order.
+    dilation order.  A recorded forward adds them left to right into one
+    buffer, a single ``add`` node that keeps no partial sums; without a graph
+    each branch output is added as soon as it is made.  Both give the same
+    bits.
     """
 
     def __init__(self, cfg: BlockConfig, *, rng: np.random.Generator, dtype=np.float32):
@@ -81,6 +86,11 @@ class ResBlockA(Module):
             raise ShapeError(
                 f"resblock_a: input has {x.shape[1]} channels but the block expects "
                 f"{self.cfg.filters}; insert a preceding 1x1 conv2dn to match channel counts")
+        if autodiff.is_grad_enabled():
+            # the graph keeps every branch output anyway; one node keeps no
+            # partial sums
+            return autodiff.add(x, *(branch(x) for branch in self.branches))
+        # no graph: add each branch output as it comes, so one lives at a time
         out = x
         for branch in self.branches:
             out = out + branch(x)

@@ -153,7 +153,8 @@ class _Trunk(Module):
 
 
 class _RegressionBranch(Module):
-    # Two normed 3x3 convolutions with ReLU, then biased 1x1 logits.
+    # Two normed 3x3 convolutions, each rectified in its batch norm, then
+    # biased 1x1 logits.
     def __init__(self, channels, out_channels, rng):
         super().__init__()
         self.c1 = Conv2DN(channels, channels, kernel=3, rng=rng)
@@ -161,9 +162,8 @@ class _RegressionBranch(Module):
         self.logit = Conv2d(channels, out_channels, 1, bias=True, rng=rng)
 
     def forward(self, x) -> Node:
-        h = nnops.relu(self.c1(x))
-        h = nnops.relu(self.c2(h))
-        return self.logit(h)
+        h = self.c1(x, relu=True)
+        return self.logit(self.c2(h, relu=True))
 
 
 class _SingleHead(Module):

@@ -146,6 +146,6 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
-    def forward(self, x) -> Node:
-        return nnops.batch_norm(x, self.gamma, self.beta,
-                                self.running_mean, self.running_var, self.training)
+    def forward(self, x, relu: bool = False) -> Node:
+        return nnops.batch_norm(x, self.gamma, self.beta, self.running_mean,
+                                self.running_var, self.training, relu=relu)

@@ -214,7 +214,7 @@ def _sum_windows(dst, windows, src, buf) -> None:
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
-               momentum: float = 0.9, eps: float = 1e-5) -> Node:
+               momentum: float = 0.9, eps: float = 1e-5, relu: bool = False) -> Node:
     """Per-channel batch normalisation over (N, H, W).
 
     In training mode, batch statistics normalise the input and the running
@@ -229,6 +229,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     and sum(g*d), give every gradient (Ioffe & Szegedy 2015,
     arXiv:1502.03167): the input gradient is the per-channel affine map
     a*g + b*d + c, where a = gamma*invstd, and b and c are zero in eval mode.
+
+    ``relu=True`` gives ``relu(batch_norm(...))`` bit for bit as one node: the
+    output is rectified in place, and backward masks g with out > 0, which
+    equals the pre-rectification mask (NaN included).  The graph then holds
+    one array where the two ops held two (the memory argument of In-Place
+    ABN, Rota Bulo et al. 2018, arXiv:1712.02616).
     """
     x, gamma, beta = as_node(x), as_node(gamma), as_node(beta)
     if x.ndim != 4:
@@ -267,8 +273,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         scale = gamma.value * invstd
         out = x.value * scale[:, None, None]
         out += (beta.value - mean * scale)[:, None, None]
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def backward(g):
+        if relu:
+            g = g * (out > 0)
         d = centred(np.result_type(x.value, g))
         gsum, gdsum = g.sum(axis=axes), channel_dot(g, d)
         if gamma.requires_grad:
@@ -366,7 +376,7 @@ def concat_channels(xs) -> Node:
 
 
 def channel_slice(x, start: int, stop: int) -> Node:
-    """View channels [start, stop) as a differentiable slice."""
+    """Copy channels [start, stop) out as a differentiable slice."""
     x = as_node(x)
     out = x.value[:, start:stop].copy()
 

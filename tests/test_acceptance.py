@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import numeric_gradient, rel_err
 
-from atrousseg import losses, nnops
+from atrousseg import autodiff, losses, nnops
 from atrousseg.augment import AugmentConfig
 from atrousseg.autodiff import Node
 from atrousseg.cli import main
@@ -163,6 +163,32 @@ def _op_cases(rng):
     ru = readout((1, 2, 8, 8))
     cases.append(("nearest_upsample", {"x": xp},
                   lambda n: ru(nnops.nearest_upsample(n["x"], 2))))
+
+    # batch norm rectified in place, and a three-operand add, on their own
+    # generator like the 1x1 convs.  gamma*xhat sits at least 0.15 from the
+    # ReLU kink, beta moves it by at most 0.1: in train mode each channel is
+    # a permuted set of +-[0.3, 1.5] values (mean 0, std 0.98), in eval mode
+    # x lies +-[0.3, 1.5] running stds off the running mean.
+    gr = np.random.default_rng(17)
+    mags = np.linspace(0.3, 1.5, 9)
+    xt = np.stack([gr.permutation(np.concatenate([mags, -mags])) for _ in range(2)])
+    xt = np.ascontiguousarray(xt.reshape(2, 2, 3, 3).transpose(1, 0, 2, 3))
+    gamma_r = gr.uniform(0.5, 1.5, size=2)
+    beta_r = gr.uniform(-0.1, 0.1, size=2)
+    rm_r = gr.normal(size=2)
+    rv_r = gr.uniform(0.5, 1.5, size=2)
+    xe = (rm_r[:, None, None] + gr.choice([-1.0, 1.0], size=(2, 2, 3, 3))
+          * gr.uniform(0.3, 1.5, size=(2, 2, 3, 3)) * np.sqrt(rv_r + 1e-5)[:, None, None])
+    t_r = gr.normal(size=(2, 2, 3, 3))
+    for mode, xr, stats in (("train", xt, (np.zeros(2), np.ones(2))), ("eval", xe, (rm_r, rv_r))):
+        cases.append((f"batch_norm_relu_{mode}", {"x": xr, "gamma": gamma_r, "beta": beta_r},
+                      lambda n, s=stats, training=mode == "train": (nnops.batch_norm(
+                          n["x"], n["gamma"], n["beta"], s[0].copy(), s[1].copy(),
+                          training=training, momentum=0.1, eps=1e-5, relu=True) * t_r).sum()))
+    a3, b3, c3 = (gr.normal(size=(3, 4)) for _ in range(3))
+    t3 = gr.normal(size=(3, 4))
+    cases.append(("add_three", {"a": a3, "b": b3, "c": c3},
+                  lambda n: (autodiff.add(n["a"], n["b"], n["c"]) * t3).sum()))
     return cases
 
 

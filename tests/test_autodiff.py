@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrousseg.autodiff import (Node, add, as_node, div,
+from atrousseg.autodiff import (Node, ShapeError, add, as_node, div,
                                 is_grad_enabled, mul, no_grad, parameter)
 from conftest import numeric_gradient, rel_err
 
@@ -179,6 +179,48 @@ class TestConstantOperands:
         assert c.grad is None
         assert np.array_equal(p.grad, grad(t, p0, c0).sum(axis=0))
         assert p.grad.dtype == np.float64
+
+
+class TestNaryAdd:
+    """add with three or more operands is chained ``+`` bit for bit in one
+    node, and hands every parent the same upstream gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_chained_add(self, rng, dtype):
+        arrays = [rng.normal(size=(2, 3, 4)).astype(dtype) for _ in range(5)]
+        t = rng.normal(size=(2, 3, 4)).astype(dtype)
+        results = []
+        for nary in (True, False):
+            leaves = [parameter(a) for a in arrays]
+            if nary:
+                out = add(*leaves)
+            else:
+                out = leaves[0]
+                for v in leaves[1:]:
+                    out = out + v
+            (out * t).sum().backward()
+            results.append([out.value] + [v.grad for v in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_every_parent_gets_the_same_gradient(self, rng):
+        x = parameter(rng.normal(size=(3, 4)))
+        parents = [x * 1.0, x * 2.0, x * 3.0]
+        out = add(*parents)
+        assert out._parents == tuple(parents)
+        t = rng.normal(size=(3, 4))
+        (out * t).sum().backward()  # out's upstream gradient is t exactly
+        assert parents[0].grad is parents[1].grad is parents[2].grad
+        assert np.array_equal(parents[0].grad, t)
+        assert np.allclose(x.grad, 6.0 * t)
+
+    @pytest.mark.parametrize("third", [np.ones(3), np.ones((2, 3), np.float32)],
+                             ids=["broadcast", "dtype"])
+    def test_rejects_a_third_operand_unlike_the_sum(self, third):
+        a = parameter(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="add"):
+            add(a, a, parameter(third))
 
 
 class TestOpGradients:

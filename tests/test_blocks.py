@@ -1,9 +1,11 @@
 """Residual atrous blocks, pyramid pooling, and the combine/upsample glue."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from atrousseg.autodiff import Node, ShapeError, parameter
+from atrousseg.autodiff import Node, ShapeError, no_grad, parameter
 from atrousseg.blocks import (BlockConfig, Combine, Conv2DN, PSPPooling,
                               ResBlockA, UpSampleBlock, clamp_scales)
 from conftest import numeric_gradient, rel_err
@@ -78,6 +80,32 @@ class TestResBlockA:
         num = numeric_gradient(
             lambda v: (block(parameter(v)) ** 2).sum().item(), x0.copy())
         assert rel_err(x.grad, num) < 1e-6
+
+    def test_recorded_and_unrecorded_sums_agree(self, rng):
+        block = ResBlockA(BlockConfig(filters=4, dilations=(1, 3, 15)), rng=rng)
+        block.eval()
+        x = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
+        recorded = block(parameter(x))
+        with no_grad():
+            unrecorded = block(Node(x))
+        assert recorded.value.tobytes() == unrecorded.value.tobytes()
+
+    def test_unrecorded_forward_holds_one_branch_output_at_a_time(self, rng):
+        # four branches on one 128 KiB plane set: the peak reads 7.5 plane
+        # sets when each branch output is added as it comes, 9.5 when all
+        # four wait for one sum
+        block = ResBlockA(BlockConfig(filters=8, dilations=(1, 3, 15, 31)), rng=rng)
+        block.eval()
+        x = Node(rng.normal(size=(1, 8, 64, 64)).astype(np.float32))
+        with no_grad():
+            block(x)
+            tracemalloc.start()
+            try:
+                block(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 8.5 * x.value.nbytes, peak / x.value.nbytes
 
 
 class TestPSPPooling:

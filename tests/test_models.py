@@ -3,15 +3,17 @@ and checkpoint round-trips."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from atrousseg import fileio
-from atrousseg.autodiff import Node, ShapeError, is_grad_enabled
+from atrousseg import fileio, pipeline
+from atrousseg.autodiff import Node, ShapeError, is_grad_enabled, recorded_nodes
+from atrousseg.config import load_config
 from atrousseg.models import (ModelSpec, build_model, load_checkpoint,
                               param_count, save_checkpoint)
-from atrousseg.trainer import Adam
+from atrousseg.trainer import Adam, batch_loss
 
 # Frozen parameter budgets for the reference configurations (5 input
 # channels, 6 classes, 32 initial filters), computed once by hand-walking
@@ -369,3 +371,25 @@ class TestModuleTree:
         assert all(m.training for m in modules)
         model.train(False)
         assert not any(m.training for m in modules)
+
+
+class TestGraphMemory:
+    """What the recorded graph holds when backward starts."""
+
+    def test_toy_batch_holds_at_most_the_fused_figure(self):
+        # configs/toy.json's model on a 4-image 64 px batch.  The sum is
+        # 28.16 MiB with batch norm rectifying in place and one sum node per
+        # ResBlockA, 38.98 MiB with separate ReLU and chained-sum nodes.
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "toy.json")
+        records = pipeline.build_records(cfg.data)[:4]
+        assert records[0].image.shape == (3, 64, 64)
+        loss, _ = batch_loss(build_model(cfg.model, seed=cfg.train.seed),
+                             records, cfg.train.loss_id)
+        held = sum(node.value.nbytes for node in recorded_nodes(loss))
+        assert held <= 28.2 * 2**20, held / 2**20
+
+    def test_resblock_output_is_one_sum_node(self, rng):
+        block = build_model(tiny_spec()).trunk.encoder[0]
+        out = block(Node(rng.random((2, 4, 8, 8), dtype=np.float32), requires_grad=True))
+        assert len(block.branches) == 4
+        assert len(out._parents) == 1 + len(block.branches)

@@ -504,6 +504,52 @@ class TestBatchNorm:
                        np.zeros(2), np.ones(2), training=True)
 
 
+class TestBatchNormRelu:
+    """``batch_norm(..., relu=True)`` is ``relu(batch_norm(...))`` bit for bit:
+    output, running buffers and the gradients of x, gamma and beta."""
+
+    @staticmethod
+    def _run(x, g, training, fused):
+        dtype = x.dtype
+        xn = parameter(x.copy())
+        gamma = parameter(np.array([1.3, 0.8, -0.6], dtype=dtype))
+        beta = parameter(np.array([0.0, 0.2, -0.1], dtype=dtype))
+        rm = np.array([0.0, 0.3, -0.2], dtype=dtype)
+        rv = np.array([1.5, 0.7, 2.0], dtype=dtype)
+        if fused:
+            out = batch_norm(xn, gamma, beta, rm, rv, training=training, relu=True)
+        else:
+            out = relu(batch_norm(xn, gamma, beta, rm, rv, training=training))
+        (out * g).sum().backward()  # out's upstream gradient is g exactly
+        return [out.value, rm, rv, xn.grad, gamma.grad, beta.grad]
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_relu_of_batch_norm(self, rng, training, dtype):
+        # channel 0 has mean 0 exactly, so its zeros normalise to exactly 0
+        # (beta is 0 there); channel 1 holds a NaN
+        x = rng.normal(size=(2, 3, 4, 4))
+        x[:, 0] = rng.permutation(np.tile([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0],
+                                          4)).reshape(2, 4, 4)
+        x[1, 1, 2, 3] = np.nan
+        x = x.astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        fused = self._run(x, g, training, fused=True)
+        chained = self._run(x, g, training, fused=False)
+        assert (fused[0][:, 0][x[:, 0] == 0] == 0).sum() == 16
+        assert np.isnan(fused[0][1, 1, 2, 3]) and np.isfinite(fused[3][:, 0]).all()
+        for a, b in zip(fused, chained):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_graph_holds_one_node(self, rng):
+        x = parameter(rng.normal(size=(2, 2, 3, 3)))
+        out = batch_norm(x, parameter(np.ones(2)), parameter(np.zeros(2)),
+                         np.zeros(2), np.ones(2), training=True, relu=True)
+        assert out._parents[0] is x
+        assert (out.value >= 0).all()
+
+
 class TestMaxPoolGrid:
     def test_output_is_broadcast_max(self):
         x = parameter(np.arange(16.0).reshape(1, 1, 4, 4))
