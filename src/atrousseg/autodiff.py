@@ -93,9 +93,6 @@ class Node:
         if self.requires_grad:
             self.grad = np.zeros_like(self.value)
 
-    def detach(self) -> "Node":
-        return Node(self.value)
-
     def backward(self) -> None:
         """Backpropagate from a scalar node through the recorded graph.
 

@@ -20,7 +20,7 @@ from . import evaluate, fileio, losses, pipeline, synth
 from .config import apply_overrides, load_config
 from .labels import check_sample, derive_record
 from .models import DEPTHS, HEADS, ModelSpec, build_model, load_checkpoint, param_count
-from .trainer import batch_loss, lr_finder
+from .trainer import batch_loss, lr_finder, micro_batches
 
 
 class CliError(Exception):
@@ -122,8 +122,7 @@ def cmd_lr_find(args) -> int:
     cfg = _load_run_config(args)
     train_recs, _ = _checked_records(cfg)
     model = build_model(cfg.model, seed=cfg.train.seed)
-    mb = cfg.train.micro_batch
-    batches = [train_recs[i:i + mb] for i in range(0, len(train_recs), mb)]
+    batches = micro_batches(train_recs, cfg.train.micro_batch)
 
     def loss_fn(chunk):
         return batch_loss(model, chunk, cfg.train.loss_id)[0]

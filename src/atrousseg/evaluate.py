@@ -172,10 +172,6 @@ def metrics(cm: ConfusionMatrix, exclude: frozenset | set = frozenset()) -> dict
     }
 
 
-def mcc_from_masks(pred_mask, ref_mask, n_classes: int) -> float:
-    return metrics(confusion(pred_mask, ref_mask, n_classes))["overall"]["mcc"]
-
-
 ERROR_CORRECT, ERROR_INCORRECT, ERROR_IGNORED = 0, 1, 2
 _ERROR_COLORS = np.array([[0, 200, 0], [220, 0, 0], [255, 255, 255]], dtype=np.uint8)
 

@@ -6,6 +6,8 @@ little-endian extents, then the row-major f32 little-endian payload.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -25,6 +27,11 @@ def write_nct(path, array) -> None:
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
+    """Exactly ``n`` bytes; a header that claims more than the file holds is
+    refused before anything is allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"{path}: truncated {what}: {n} bytes declared, {left} left")
     buf = fh.read(n)
     if len(buf) != n:
         raise ValueError(f"{path}: truncated {what}")
@@ -38,8 +45,8 @@ def read_nct(path) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
         (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "rank header"))
         shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "extents header"))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(_read_exact(fh, 4 * count, path, "payload"), dtype="<f4")
+        payload = _read_exact(fh, 4 * math.prod(shape), path, "payload")
+    data = np.frombuffer(payload, dtype="<f4")
     return data.reshape(shape).copy()
 
 
@@ -63,6 +70,8 @@ def _read_netpbm(path, magic: bytes, depth: int) -> np.ndarray:
             line = line.split(b"#", 1)[0]
             fields.extend(int(tok) for tok in line.split())
         width, height, maxval = fields[:3]
+        if width < 0 or height < 0:
+            raise ValueError(f"{path}: negative netpbm size {width}x{height}")
         if maxval > 255:
             raise ValueError(f"only 8-bit netpbm supported, maxval={maxval}")
         name = "PGM" if depth == 1 else "PPM"

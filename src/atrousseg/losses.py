@@ -92,42 +92,18 @@ def _similarity(loss_id: str, p, l, weights, eps: float) -> Node:
     return make_node(value, (p,), backward)
 
 
-def dice_d1(p, l, weights=None, eps: float = EPS) -> Node:
-    """2*sum(p*l) / (sum(p) + sum(l)), optionally class-weighted."""
-    return _similarity("d1", p, l, weights, eps)
+def loss_fn(loss_id: str):
+    """The similarity ``loss_id`` as ``fn(p, l, weights=None, eps=EPS) -> Node``:
+    d1 = 2*sum(p*l) / (sum(p) + sum(l)), d2 = 2*sum(p*l) / sum(p^2 + l^2) and
+    tanimoto = sum(p*l) / (sum(p^2 + l^2) - sum(p*l)), per class (axis 1) and
+    pooled by ``weights`` when given; ``<base>-complement`` averages the base
+    on (p, l) and on (1 - p, 1 - l), both halves sharing the weights."""
+    _parse(loss_id)
 
-
-def dice_d2(p, l, weights=None, eps: float = EPS) -> Node:
-    """2*sum(p*l) / sum(p^2 + l^2), optionally class-weighted."""
-    return _similarity("d2", p, l, weights, eps)
-
-
-def tanimoto_d3(p, l, weights=None, eps: float = EPS) -> Node:
-    """sum(p*l) / (sum(p^2 + l^2) - sum(p*l)), optionally class-weighted."""
-    return _similarity("tanimoto", p, l, weights, eps)
-
-
-_BASES = {"d1": dice_d1, "d2": dice_d2, "tanimoto": tanimoto_d3}
-
-
-def with_complement(base):
-    """Average of ``base`` (dice_d1, dice_d2 or tanimoto_d3) on (p, l) and on
-    the element-wise complements; class weights are shared by both halves."""
-    loss_id = next((k + "-complement" for k, fn in _BASES.items() if fn is base), None)
-    if loss_id is None:
-        raise ValueError("with_complement takes dice_d1, dice_d2 or tanimoto_d3")
-
-    def wrapped(p, l, weights=None, eps: float = EPS) -> Node:
+    def similarity(p, l, weights=None, eps: float = EPS) -> Node:
         return _similarity(loss_id, p, l, weights, eps)
 
-    wrapped.__name__ = base.__name__ + "_with_complement"
-    return wrapped
-
-
-def loss_fn(loss_id: str):
-    """Resolve a similarity by id ('d1', 'tanimoto-complement', ...)."""
-    base, complement = _parse(loss_id)
-    return with_complement(_BASES[base]) if complement else _BASES[base]
+    return similarity
 
 
 def volume_weights(onehot) -> np.ndarray:

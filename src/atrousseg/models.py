@@ -47,8 +47,9 @@ class ModelSpec:
             raise ValueError(f"depth must be one of {DEPTHS}, got {self.depth!r}")
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.initial_filters < 1:
-            raise ValueError("initial_filters must be >= 1")
+        if self.initial_filters < len(PSP_FULL):  # every head pools them in PSP_FULL groups
+            raise ValueError(f"initial_filters must be >= {len(PSP_FULL)}, "
+                             f"got {self.initial_filters}")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         if self.input_channels < 1:
@@ -307,14 +308,19 @@ def save_checkpoint(model: SegmentationModel, out_dir) -> Path:
 def load_checkpoint(ckpt_dir) -> SegmentationModel:
     ckpt = Path(ckpt_dir)
     manifest = json.loads((ckpt / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{ckpt / 'manifest.json'}: expected a JSON object")
     if manifest.get("format") != "nct1":
         raise ValueError(f"{ckpt}: checkpoint format {manifest.get('format')!r}, expected 'nct1'")
+    tensors = manifest.get("tensors")
+    if not (isinstance(tensors, dict) and all(isinstance(f, str) for f in tensors.values())):
+        raise ValueError(f"{ckpt / 'manifest.json'}: 'tensors' must map names to file names")
     try:
         spec = ModelSpec(**manifest["spec"])
     except TypeError as exc:  # a field ModelSpec does not have
         raise ValueError(f"{ckpt}: bad model spec in manifest: {exc}") from exc
     model = SegmentationModel(spec)
     state = {name: fileio.read_nct(ckpt / fname)
-             for name, fname in manifest["tensors"].items()}
+             for name, fname in tensors.items()}
     model.load_state_dict(state)
     return model

@@ -11,7 +11,7 @@ from .augment import PatchRef, split_dataset
 from .config import DataConfig, RunConfig, write_snapshot
 from .labels import SampleRecord, derive_record
 from .models import build_model, param_count, save_checkpoint
-from .trainer import history_to_csv, train
+from .trainer import history_to_csv, micro_batches, train
 
 
 def build_records(data: DataConfig) -> list[SampleRecord]:
@@ -55,10 +55,9 @@ def prepare_records(cfg: RunConfig, records):
     if not train_recs:
         raise ValueError("split produced an empty train set; "
                          "increase data.n_images or adjust data.split")
-    # train and lr-find both cut the train part into micro_batch chunks, so a
-    # one-image chunk exists exactly when the count leaves a remainder of one
+    # train and lr-find both cut the train part with micro_batches
     mb, div = cfg.train.micro_batch, cfg.model.size_divisor
-    if ((mb == 1 or len(train_recs) % mb == 1)
+    if (any(len(chunk) == 1 for chunk in micro_batches(train_recs, mb))
             and any(r.image.shape[1:] == (div, div) for r in train_recs)):
         raise ValueError(
             f"train.micro_batch {mb} leaves a one-image micro-batch of the "

@@ -60,7 +60,12 @@ class Sgd(object):
             p.value -= self.lr * p.grad
 
 
-def aggregate_gradients(loss_fn, params, micro_batches, sizes=None) -> float:
+def micro_batches(records, size: int) -> list:
+    """``records`` cut in order into chunks of ``size``; the last may be shorter."""
+    return [records[lo:lo + size] for lo in range(0, len(records), size)]
+
+
+def aggregate_gradients(loss_fn, params, batches, sizes=None) -> float:
     """Accumulate the gradient of the size-weighted mean loss over batches.
 
     ``loss_fn(batch)`` must return a scalar loss Node (already averaged over
@@ -68,12 +73,12 @@ def aggregate_gradients(loss_fn, params, micro_batches, sizes=None) -> float:
     is the aggregate loss.  One optimizer step per aggregation window.
     """
     if sizes is None:
-        sizes = [len(b) if hasattr(b, "__len__") else 1 for b in micro_batches]
+        sizes = [len(b) if hasattr(b, "__len__") else 1 for b in batches]
     total = float(sum(sizes))
     for p in params:
         p.zero_grad()
     agg = 0.0
-    for batch, n in zip(micro_batches, sizes):
+    for batch, n in zip(batches, sizes):
         loss = loss_fn(batch) * (n / total)
         loss.backward()
         agg += loss.item()
@@ -237,8 +242,7 @@ def evaluate_records(model, records, loss_id, micro_batch, n_classes):
         raise ValueError("evaluate_records needs at least one record")
     cm, loss_sum = None, 0.0
     with model.evaluating():
-        for lo in range(0, len(records), micro_batch):
-            chunk = records[lo:lo + micro_batch]
+        for chunk in micro_batches(records, micro_batch):
             loss, out = batch_loss(model, chunk, loss_id)
             loss_sum += loss.item() * len(chunk)
             cm = _add_confusion(cm, out, chunk, n_classes)
@@ -251,8 +255,9 @@ def train(model, train_records, val_records, cfg: TrainConfig) -> TrainResult:
 
     Per epoch: seeded shuffle, optional augmentation (fresh generator per
     sample, derived from (seed, epoch, index) so runs are bit-reproducible),
-    one Adam step per aggregation window, then eval-mode validation loss and
-    MCC.  A non-finite loss halts training and restores the best checkpoint.
+    one Adam step per ``aggregate_steps`` consecutive micro-batches of the
+    shuffled order, then eval-mode validation loss and MCC.  A non-finite
+    loss halts training and restores the best checkpoint.
     """
     if not train_records or not val_records:
         raise ValueError("train() needs non-empty train and val record lists")
@@ -266,25 +271,23 @@ def train(model, train_records, val_records, cfg: TrainConfig) -> TrainResult:
     history: list[EpochStats] = []
     halted = False
 
+    def sample(i, epoch):
+        if cfg.augment is None:
+            return train_records[i]
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch, int(i))))
+        return augment_record(train_records[i], cfg.augment, rng)
+
     for epoch in range(cfg.max_epochs):
         model.train()
         order = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, epoch))).permutation(len(train_records))
-        window = cfg.effective_batch
+        chunks = micro_batches(order, cfg.micro_batch)
         epoch_loss, seen = 0.0, 0
         cm = None
-        for lo in range(0, len(order), window):
-            idxs = order[lo:lo + window]
-            records = []
-            for i in idxs:
-                rec = train_records[i]
-                if cfg.augment is not None:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence((cfg.seed, epoch, int(i))))
-                    rec = augment_record(rec, cfg.augment, rng)
-                records.append(rec)
-            micro = [records[j:j + cfg.micro_batch]
-                     for j in range(0, len(records), cfg.micro_batch)]
+        for lo in range(0, len(chunks), cfg.aggregate_steps):
+            micro = [[sample(i, epoch) for i in chunk]
+                     for chunk in chunks[lo:lo + cfg.aggregate_steps]]
+            n = sum(map(len, micro))
 
             def forward(chunk):
                 nonlocal cm
@@ -297,8 +300,8 @@ def train(model, train_records, val_records, cfg: TrainConfig) -> TrainResult:
                 halted = True
                 break
             opt.step()
-            epoch_loss += agg * len(idxs)
-            seen += len(idxs)
+            epoch_loss += agg * n
+            seen += n
         if halted:
             break
 

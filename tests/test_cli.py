@@ -199,6 +199,7 @@ class TestMalformedInput:
         pytest.param(lambda m: m["spec"].update(colour=1), id="spec-field"),
         pytest.param(lambda m: m["tensors"].update({"extra.w": next(iter(m["tensors"].values()))}),
                      id="extra-tensor"),
+        pytest.param(lambda m: m.update(tensors=[]), id="tensors-list"),
     ])
     def test_bad_checkpoint_manifest(self, tmp_path, capsys, edit):
         ckpt = tmp_path / "ck"
@@ -210,6 +211,24 @@ class TestMalformedInput:
         self.assert_one_data_error_line(
             ["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "t.ppm"),
              "--out", str(tmp_path / "o"), "--window", "32"], capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_manifest_not_an_object(self, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        save_checkpoint(build_model(ModelSpec(depth="d6", initial_filters=4, n_classes=3)), ckpt)
+        (ckpt / "manifest.json").write_text("[]")
+        fileio.write_ppm(tmp_path / "t.ppm", np.zeros((32, 32, 3), np.uint8))
+        self.assert_one_data_error_line(
+            ["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "t.ppm"),
+             "--out", str(tmp_path / "o"), "--window", "32"], capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_pgm_header_larger_than_file(self, tmp_path, capsys):
+        (tmp_path / "pred.pgm").write_bytes(b"P5\n200000 200000\n255\n")
+        fileio.write_pgm(tmp_path / "ref.pgm", np.zeros((4, 4), np.uint8))
+        self.assert_one_data_error_line(
+            ["eval", "--pred", str(tmp_path / "pred.pgm"), "--ref", str(tmp_path / "ref.pgm"),
+             "--out", str(tmp_path / "o")], capsys)
         assert not (tmp_path / "o").exists()
 
     def test_manifest_without_entries(self, tmp_path, capsys):
@@ -343,6 +362,9 @@ class TestOneErrorLineBeforeAnyWrite:
           for command in ("train", "lr-find")
           for name, data in [("micro-batch-1", {"train": {"micro_batch": 1}}),
                              ("3-train-images", {"data": {"n_images": 6}})]),
+        # every head's pyramid pooling splits initial_filters channels into 4 groups
+        *(pytest.param(_run(command, section="model", initial_filters=3), "config", 1,
+                       id=f"{command}-filters-3") for command in ("train", "lr-find")),
         pytest.param(_run("lr-find", "--steps", "1"), "config", 1, id="lr-find-steps-1"),
         pytest.param(_run("lr-find", "--lr-lo", "1", "--lr-hi", "0.1"), "config", 1,
                      id="lr-find-reversed-range"),

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from atrousseg import fileio
 from atrousseg.evaluate import (ERROR_CORRECT, ERROR_IGNORED, ERROR_INCORRECT,
                                 ConfusionMatrix, confusion, error_map,
-                                f1_from_precision_recall, mcc_from_masks,
-                                metrics, reflect_pad, sliding_window_inference,
+                                f1_from_precision_recall, metrics, reflect_pad, sliding_window_inference,
                                 write_error_map)
 
 
@@ -233,13 +232,13 @@ class TestMetrics:
         rng = np.random.default_rng(seed)
         pred = rng.integers(0, k, 200)
         ref = rng.integers(0, k, 200)
-        got = mcc_from_masks(pred, ref, k)
+        got = metrics(confusion(pred, ref, k))["overall"]["mcc"]
         assert got == pytest.approx(pooled_mcc_oracle(pred, ref, k), abs=1e-12)
 
     def test_perfect_and_inverted(self):
         ref = np.array([0, 0, 1, 1])
-        assert mcc_from_masks(ref, ref, 2) == pytest.approx(1.0)
-        assert mcc_from_masks(1 - ref, ref, 2) == pytest.approx(-1.0)
+        assert metrics(confusion(ref, ref, 2))["overall"]["mcc"] == pytest.approx(1.0)
+        assert metrics(confusion(1 - ref, ref, 2))["overall"]["mcc"] == pytest.approx(-1.0)
 
     def test_exclude_reshapes_avg_f1_only(self, rng):
         pred = rng.integers(0, 3, 300)

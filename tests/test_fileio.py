@@ -65,6 +65,21 @@ class TestNct:
         with pytest.raises(ValueError, match="truncated .* header"):
             read_nct(path)
 
+    @pytest.mark.parametrize("extents", [(100000, 100000), (0xFFFFFFFF, 0xFFFFFFFF)],
+                             ids=["1e10-values", "u32-max-squared"])
+    def test_extents_beyond_file_rejected(self, tmp_path, extents):
+        # refused from the header and the file size, before any allocation
+        path = tmp_path / "big.nct"
+        path.write_bytes(b"NCT1" + struct.pack("<3I", 2, *extents) + b"\x00" * 16)
+        with pytest.raises(ValueError, match="truncated payload"):
+            read_nct(path)
+
+    def test_rank_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "rank.nct"
+        path.write_bytes(b"NCT1" + struct.pack("<I", 0xFFFFFFFF) + b"\x00" * 16)
+        with pytest.raises(ValueError, match="truncated extents header"):
+            read_nct(path)
+
     def test_mutating_result_is_safe(self, tmp_path):
         # read_nct must hand back an owned array, not a frombuffer view
         path = tmp_path / "o.nct"
@@ -102,6 +117,20 @@ class TestPgm:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
         with pytest.raises(ValueError, match="truncated"):
+            read_pgm(path)
+
+    def test_size_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P5\n200000 200000\n255\n")
+        with pytest.raises(ValueError, match="truncated PGM payload"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n-2 2\n255\n", b"P5\n2 -2\n255\n"],
+                             ids=["width", "height"])
+    def test_negative_size_rejected(self, tmp_path, header):
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(ValueError, match="negative netpbm size"):
             read_pgm(path)
 
     def test_non_plane_rejected(self, tmp_path):

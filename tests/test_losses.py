@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atrousseg.autodiff import Node, ShapeError, as_node, parameter
-from atrousseg.losses import (EPS, LOSS_IDS, LossField, dice_d1, dice_d2,
-                              field_sample, field_to_csv, loss_fn,
-                              multitask_loss, tanimoto_d3, volume_weights,
-                              with_complement)
+from atrousseg.losses import (EPS, LOSS_IDS, LossField, field_sample,
+                              field_to_csv, loss_fn, multitask_loss,
+                              volume_weights)
 from conftest import numeric_gradient, rel_err
 
 P2 = np.array([0.8, 0.4])
@@ -50,13 +49,13 @@ class TestFrozenValues:
     """Two-pixel oracle at p=(0.8, 0.4), l=(1, 0), eps=0."""
 
     def test_d1(self):
-        assert dice_d1(P2, L2, eps=0.0).item() == pytest.approx(1.6 / 2.2, abs=1e-15)
+        assert loss_fn("d1")(P2, L2, eps=0.0).item() == pytest.approx(1.6 / 2.2, abs=1e-15)
 
     def test_d2(self):
-        assert dice_d2(P2, L2, eps=0.0).item() == pytest.approx(1.6 / 1.8, abs=1e-15)
+        assert loss_fn("d2")(P2, L2, eps=0.0).item() == pytest.approx(1.6 / 1.8, abs=1e-15)
 
     def test_tanimoto(self):
-        assert tanimoto_d3(P2, L2, eps=0.0).item() == pytest.approx(0.8, abs=1e-15)
+        assert loss_fn("tanimoto")(P2, L2, eps=0.0).item() == pytest.approx(0.8, abs=1e-15)
 
     def test_complement_midpoint(self):
         # T~ at p=(0.5,0.5) averages a symmetric pair to exactly 1/2.
@@ -83,27 +82,27 @@ class TestRegistry:
             loss_fn("jaccard")
 
     def test_complement_wraps_base(self):
-        fn = with_complement(tanimoto_d3)
+        fn, base = loss_fn("tanimoto-complement"), loss_fn("tanimoto")
         p, l = np.array([0.7, 0.1]), np.array([1.0, 0.0])
-        direct = 0.5 * (tanimoto_d3(p, l).item() + tanimoto_d3(1 - p, 1 - l).item())
+        direct = 0.5 * (base(p, l).item() + base(1 - p, 1 - l).item())
         assert fn(p, l).item() == pytest.approx(direct, abs=1e-15)
 
     def test_complement_takes_only_the_three_bases(self):
-        with pytest.raises(ValueError, match="with_complement"):
-            with_complement(lambda p, l, weights=None, eps=EPS: tanimoto_d3(p, l))
+        with pytest.raises(ValueError, match="unknown loss id"):
+            loss_fn("jaccard-complement")
 
 
 class TestWeighted:
     def test_weight_length_validated(self):
         p = np.random.default_rng(0).random((2, 3, 4, 4))
         with pytest.raises(ValueError, match="length"):
-            tanimoto_d3(p, p, weights=np.ones(2))
+            loss_fn("tanimoto")(p, p, weights=np.ones(2))
 
     def test_uniform_weights_match_flat(self, rng):
         p = rng.random((2, 3, 4, 4))
         l = (p > 0.5).astype(float)
-        flat = tanimoto_d3(p, l).item()
-        weighted = tanimoto_d3(p, l, weights=np.ones(3)).item()
+        flat = loss_fn("tanimoto")(p, l).item()
+        weighted = loss_fn("tanimoto")(p, l, weights=np.ones(3)).item()
         assert flat == pytest.approx(weighted, rel=1e-12)
 
     def test_zero_weight_removes_class(self, rng):
@@ -112,8 +111,8 @@ class TestWeighted:
         l[:, 0] = np.round(p[:, 0])
         l[:, 1] = rng.integers(0, 2, (1, 4, 4))
         w = np.array([1.0, 0.0])
-        only0 = tanimoto_d3(p[:, :1], l[:, :1]).item()
-        assert tanimoto_d3(p, l, weights=w).item() == pytest.approx(only0, rel=1e-9)
+        only0 = loss_fn("tanimoto")(p[:, :1], l[:, :1]).item()
+        assert loss_fn("tanimoto")(p, l, weights=w).item() == pytest.approx(only0, rel=1e-9)
 
     def test_volume_weights_inverse_square(self):
         l = np.zeros((1, 3, 2, 2))
@@ -126,7 +125,7 @@ class TestWeighted:
 
     def test_weights_need_class_axis(self):
         with pytest.raises(ValueError, match="class axis"):
-            dice_d1(P2, L2, weights=np.ones(2))
+            loss_fn("d1")(P2, L2, weights=np.ones(2))
 
     def test_volume_weights_need_class_axis(self):
         with pytest.raises(ValueError):
@@ -139,12 +138,12 @@ class TestShapes:
     def test_unweighted(self):
         p = np.full((2, 3, 4, 4), 0.5)
         with pytest.raises(ShapeError, match=r"\(2, 3, 4, 4\).*\(3, 4, 4\)"):
-            tanimoto_d3(p, np.ones((3, 4, 4)))
+            loss_fn("tanimoto")(p, np.ones((3, 4, 4)))
 
     def test_weighted(self):
         p = np.full((2, 3, 4, 4), 0.5)
         with pytest.raises(ShapeError, match=r"\(2, 3, 4, 4\).*\(1, 3, 4, 4\)"):
-            dice_d1(p, np.ones((1, 3, 4, 4)), weights=np.ones(3))
+            loss_fn("d1")(p, np.ones((1, 3, 4, 4)), weights=np.ones(3))
 
 
 class TestClosedForm:

@@ -52,7 +52,7 @@ class TestModelSpec:
 
     @pytest.mark.parametrize("kw", [
         {"depth": "d9"}, {"head": "triple"}, {"initial_filters": 0},
-        {"n_classes": 1}, {"input_channels": 0},
+        {"n_classes": 1}, {"input_channels": 0}, {"initial_filters": 3},
     ])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValueError):
@@ -287,6 +287,9 @@ class TestCheckpoint:
         pytest.param(lambda m: m.update(format="nct2"), "format", id="format-nct2"),
         pytest.param(lambda m: m.update(format=1), "format", id="format-1"),
         pytest.param(lambda m: m["spec"].update(colour=1), "colour", id="spec-field"),
+        pytest.param(lambda m: m.update(tensors=[]), "manifest.json", id="tensors-list"),
+        pytest.param(lambda m: m["tensors"].update({"entry.weight": 3}), "manifest.json",
+                     id="tensors-number"),
     ])
     def test_load_rejects_bad_manifest(self, tmp_path, edit, match):
         save_checkpoint(build_model(tiny_spec(), seed=0), tmp_path)

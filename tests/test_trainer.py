@@ -270,6 +270,28 @@ class TestTrainLoop:
         assert len(rows) == 4
         assert float(rows[1][1]) == pytest.approx(res.history[0].train_loss)
 
+    @pytest.mark.parametrize("micro_batch, aggregate_steps", [(1, 3), (2, 2), (3, 2), (4, 1)])
+    def test_schedule_cuts_the_shuffled_order(self, rng, monkeypatch, micro_batch,
+                                              aggregate_steps):
+        # each Adam step aggregates the next aggregate_steps micro-batches of
+        # the epoch's permutation, cut in order; the last ones may be short
+        recs, seed = make_records(rng, 8, size=64), 3  # 2x2 deepest plane
+        calls = []
+
+        def spy(loss_fn, params, batches, sizes=None):
+            calls.append([[id(r) for r in chunk] for chunk in batches])
+            return aggregate_gradients(loss_fn, params, batches, sizes)
+
+        monkeypatch.setattr(trainer_mod, "aggregate_gradients", spy)
+        cfg = TrainConfig(micro_batch=micro_batch, aggregate_steps=aggregate_steps,
+                          max_epochs=1, seed=seed, loss_id="d1")
+        train(tiny_model(), recs[:7], recs[7:], cfg)
+        perm = np.random.default_rng(np.random.SeedSequence((seed, 0))).permutation(7)
+        chunks = [[id(recs[i]) for i in perm[lo:lo + micro_batch]]
+                  for lo in range(0, 7, micro_batch)]
+        assert calls == [chunks[lo:lo + aggregate_steps]
+                         for lo in range(0, len(chunks), aggregate_steps)]
+
     def test_zero_lr_leaves_weights_untouched(self, rng):
         model = tiny_model()
         recs = make_records(rng, 6)
