@@ -13,8 +13,9 @@ backward and optimizer), the CPU seconds (user plus system, all threads) of
 forward, backward, the eval window and ``Adam.step`` next to them, so that
 work on a second CPU shows, the absolute sum and a SHA-256 digest of every
 parameter gradient and a digest of the parameters after the Adam step (so
-two builds can be checked for bit-identical gradients and updates), the
-process's peak RSS from ``getrusage`` after the backward pass and at the
+two builds can be checked for bit-identical gradients and updates),
+``eval_sha256``, a digest of the eval window's outputs (so that a change to
+inference numerics shows as a new value), the process's peak RSS from ``getrusage`` after the backward pass and at the
 end, ``graph_mb_at_backward``, the MB of op results (non-leaf values) the
 recorded graph holds when backward starts, with its breakdown by producing
 op, and the minor page faults (``ru_minflt``) taken during forward plus
@@ -136,7 +137,11 @@ def main() -> None:
     grad_digest = sha256_hex(grads)
     del grads
 
-    eval_s, eval_cpu_s, eval_flt = timed(lambda: model.predict(record.image[None]))
+    outputs = {}
+    eval_s, eval_cpu_s, eval_flt = timed(
+        lambda: outputs.update(model.predict(record.image[None])))
+    eval_digest = sha256_hex(outputs[task] for task in sorted(outputs))
+    del outputs
 
     opt = Adam(params)
     adam_s, adam_cpu_s, adam_flt = timed(opt.step)
@@ -152,7 +157,7 @@ def main() -> None:
         "forward_cpu_s": round(c1 - c0, 3), "backward_cpu_s": round(c3 - c2, 3),
         "eval_window_cpu_s": round(eval_cpu_s, 3), "adam_step_cpu_s": round(adam_cpu_s, 3),
         "grad_abs_sum": f"{grad_abs_sum:.17g}", "grad_sha256": grad_digest,
-        "param_sha256_after_adam": updated_digest,
+        "param_sha256_after_adam": updated_digest, "eval_sha256": eval_digest,
         "peak_rss_mb_after_step": round(step_rss, 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "graph_mb_at_backward": graph_mb, "graph_at_backward_by_op": graph_by_op,

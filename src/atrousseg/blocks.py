@@ -1,6 +1,10 @@
 """Composite building blocks: normed convolution, multi-branch residual
 blocks with atrous dilations, pyramid grid pooling, skip combination and
 the checkerboard-free upsampling unit.
+
+In eval mode every batch norm that directly follows a conv (``Conv2DN``,
+each atrous branch's second one) is folded into that conv, from the current
+parameters on every call; train mode runs them as two ops.
 """
 
 from __future__ import annotations
@@ -32,9 +36,21 @@ class BlockConfig:
                 f"dilations must be strictly increasing starting at 1, got {self.dilations}")
 
 
+def _conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool) -> Node:
+    """``bn(conv(x), relu=relu)`` for an unbiased conv; in eval mode one conv
+    with the batch norm folded in, rectifying its own output."""
+    if bn.training:
+        return bn(conv(x), relu=relu)
+    x = as_node(x)
+    w, b = nnops.fold_batch_norm(conv.weight, bn.gamma, bn.beta, bn.running_mean,
+                                 bn.running_var, np.result_type(x.value, conv.weight.value))
+    out = nnops.conv2d(x, w, b, stride=conv.stride, dilation=conv.dilation)
+    return nnops.relu(out, inplace=True) if relu else out
+
+
 class Conv2DN(Module):
     """Stride-1 undilated convolution (no bias) followed by batch normalisation,
-    rectified in the same op when ``relu=True``."""
+    rectified in the same op when ``relu=True``; one folded conv in eval mode."""
 
     def __init__(self, in_channels: int, filters: int, kernel: int = 1, *,
                  rng: np.random.Generator, dtype=np.float32):
@@ -43,12 +59,13 @@ class Conv2DN(Module):
         self.bn = BatchNorm2d(filters, dtype=dtype)
 
     def forward(self, x, relu: bool = False) -> Node:
-        return self.bn(self.conv(x), relu=relu)
+        return _conv_bn(self.conv, self.bn, x, relu)
 
 
 class _AtrousBranch(Module):
     # Pre-activation pair: BN -> ReLU -> Conv(k, d) -> BN -> ReLU -> Conv(k, d),
-    # each BN -> ReLU one batch_norm node that rectifies in place.
+    # each BN -> ReLU one batch_norm node that rectifies in place; in eval
+    # mode the first conv runs with the second BN folded in.
     def __init__(self, channels, kernel, dilation, rng, dtype):
         super().__init__()
         self.bn1 = BatchNorm2d(channels, dtype=dtype)
@@ -59,18 +76,19 @@ class _AtrousBranch(Module):
                             bias=False, rng=rng, dtype=dtype)
 
     def forward(self, x) -> Node:
-        h = self.conv1(self.bn1(x, relu=True))
-        return self.conv2(self.bn2(h, relu=True))
+        h = _conv_bn(self.conv1, self.bn2, self.bn1(x, relu=True), relu=True)
+        return self.conv2(h)
 
 
 class ResBlockA(Module):
     """Residual unit with parallel atrous branches summed with the identity.
 
     The summation order is fixed: identity first, then branches in ascending
-    dilation order.  A recorded forward adds them left to right into one
-    buffer, a single ``add`` node that keeps no partial sums; without a graph
-    each branch output is added as soon as it is made.  Both give the same
-    bits.
+    dilation order, added left to right into one buffer.  A recorded forward
+    makes that a single ``add`` node that keeps no partial sums; without a
+    graph the buffer is x plus the first branch output, and each later
+    branch output is added into it as soon as it is made.  Both give the
+    same bits.
     """
 
     def __init__(self, cfg: BlockConfig, *, rng: np.random.Generator, dtype=np.float32):
@@ -91,10 +109,11 @@ class ResBlockA(Module):
             # partial sums
             return autodiff.add(x, *(branch(x) for branch in self.branches))
         # no graph: add each branch output as it comes, so one lives at a time
-        out = x
-        for branch in self.branches:
-            out = out + branch(x)
-        return out
+        branches = iter(self.branches)
+        out = x.value + next(branches)(x).value
+        for branch in branches:
+            out += branch(x).value
+        return Node(out)
 
 
 def clamp_scales(scales, h: int, w: int) -> tuple[int, ...]:
@@ -154,7 +173,13 @@ class Combine(Module):
 
 
 class UpSampleBlock(Module):
-    """Nearest x2 upsampling followed by a 1x1 normed convolution."""
+    """Nearest x2 upsampling followed by a 1x1 normed convolution.
+
+    In eval mode the (folded) 1x1 conv runs first, on a quarter of the
+    pixels, and its output is upsampled: a 1x1 conv and a per-channel affine
+    act on each pixel alone, so they commute with the upsample.  Train-mode
+    batch statistics do not, so training keeps the upsample first.
+    """
 
     def __init__(self, in_channels: int, filters: int, *,
                  rng: np.random.Generator, dtype=np.float32):
@@ -162,4 +187,6 @@ class UpSampleBlock(Module):
         self.conv = Conv2DN(in_channels, filters, kernel=1, rng=rng, dtype=dtype)
 
     def forward(self, x) -> Node:
-        return self.conv(nnops.nearest_upsample(x, 2))
+        if self.conv.bn.training:
+            return self.conv(nnops.nearest_upsample(x, 2))
+        return nnops.nearest_upsample(self.conv(x), 2)

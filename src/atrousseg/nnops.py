@@ -20,9 +20,13 @@ from .autodiff import Node, ShapeError, accumulate, as_node, make_node
 _SPLIT_MACS = 1 << 22
 
 
-def relu(x) -> Node:
+def relu(x, inplace: bool = False) -> Node:
+    """max(x, 0).  ``inplace=True`` rectifies x's own array, for an op result
+    that nothing else reads and whose backward does not read its value (a
+    conv2d output); the mask x > 0 read after that is the same (NaN
+    included), so the bits are those of ``relu(x)``."""
     x = as_node(x)
-    out = np.maximum(x.value, 0)
+    out = np.maximum(x.value, 0, out=x.value if inplace else None)
 
     def backward(g):
         accumulate(x, g * (x.value > 0))
@@ -79,8 +83,9 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     all land in the padding (common for large dilations on small planes) is
     skipped, forward and backward.  Stride 2 reads the even input pixels of
     a 1x1 kernel and keeps the even output pixels of the stride-1 result of
-    a wider one.  Backward rebuilds the flat input from the input node's
-    value instead of keeping it alive.
+    a wider one.  The bias, if any, is added in the same pass that copies
+    the output pixels out of the flat rows.  Backward rebuilds the flat input
+    from the input node's value instead of keeping it alive.
 
     A call of at least _SPLIT_MACS (2^22) multiply-adds cuts every tap's
     forward and input-gradient GEMM at one fixed 64-aligned column of the
@@ -139,10 +144,14 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
 
     acc = np.empty((n, cout, gap + h * p), np.result_type(xs, w.value))
     _tap_gemms(acc, [(m, o, a, size) for _, _, m, o, a, size in taps], flat(xs, 1))
-    out = np.ascontiguousarray(crop(acc, step))
+    out = crop(acc, step)
     if b is not None:
+        # added as the pixels are copied out of acc (in acc when they need no
+        # copy), in acc's dtype: the bits of a copy and then an in-place add
         b = as_node(b)
-        out += b.value[:, None, None]
+        out = np.add(out, b.value[:, None, None],
+                     out=out if out.flags.c_contiguous else np.empty(out.shape, out.dtype))
+    out = np.ascontiguousarray(out)
 
     def backward(g):
         gp = flat(g, step)
@@ -222,7 +231,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     forward centres x once, takes the variance from each channel's dot
     product of the centred input with itself, and scales and shifts the
     centred input in place.  Eval mode normalises with the running buffers,
-    as one per-channel scale and shift of x.
+    as one per-channel scale and shift of x; where a conv comes first, the
+    blocks fold that scale and shift into the conv instead
+    (:func:`fold_batch_norm`).
 
     Backward recomputes the centred input ``d = x - mean`` from the input
     node's value instead of keeping it alive.  Two per-channel sums, sum(g)
@@ -299,6 +310,38 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         accumulate(x, d)
 
     return make_node(out, (x, gamma, beta), backward)
+
+
+def fold_batch_norm(w, gamma, beta, running_mean, running_var, dtype,
+                    eps: float = 1e-5) -> tuple[Node, Node]:
+    """Eval-mode batch norm folded into the unbiased conv before it: new
+    weights w*s and bias beta - mean*s, s = gamma/sqrt(running_var + eps),
+    with the buffers cast to ``dtype`` (the conv output's) as batch_norm's
+    eval branch casts them.  ``conv2d(x, *fold)`` is then
+    ``batch_norm(conv2d(x, w), training=False)`` up to rounding (Jacob et
+    al. 2018, arXiv:1712.05877).  Backward: gw = g_w*s,
+    ggamma = invstd*(sum(g_w*w) - mean*g_b), gbeta = g_b."""
+    w, gamma, beta = as_node(w), as_node(gamma), as_node(beta)
+    # copies: a train-mode call made before backward updates the buffers
+    mean = running_mean.astype(dtype)
+    invstd = 1.0 / np.sqrt(running_var.astype(dtype, copy=False) + eps)
+    scale = gamma.value * invstd
+    wf = w.value * scale[:, None, None, None]
+    bf = beta.value - mean * scale
+
+    def w_backward(g):
+        if w.requires_grad:
+            accumulate(w, g * scale[:, None, None, None])
+        if gamma.requires_grad:
+            accumulate(gamma, invstd * (g * w.value).sum(axis=(1, 2, 3)))
+
+    def b_backward(g):
+        if gamma.requires_grad:
+            accumulate(gamma, -invstd * mean * g)
+        if beta.requires_grad:
+            accumulate(beta, g)
+
+    return make_node(wf, (w, gamma), w_backward), make_node(bf, (gamma, beta), b_backward)
 
 
 def max_pool_grid(x, cells: int) -> Node:

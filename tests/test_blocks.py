@@ -5,14 +5,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from atrousseg import nnops
 from atrousseg.autodiff import Node, ShapeError, no_grad, parameter
 from atrousseg.blocks import (BlockConfig, Combine, Conv2DN, PSPPooling,
-                              ResBlockA, UpSampleBlock, clamp_scales)
+                              ResBlockA, UpSampleBlock, _AtrousBranch, clamp_scales)
 from conftest import numeric_gradient, rel_err
 
 
 def make_input(rng, shape):
     return Node(rng.normal(size=shape).astype(np.float64))
+
+
+def set_bn_state(module, rng):
+    """Give every batch norm under module non-trivial parameters and buffers."""
+    for name, p in module.named_parameters():
+        if name.endswith(("gamma", "beta")):
+            p.value[...] = rng.normal(size=p.shape)
+    for name, b in module.named_buffers():
+        b[...] = rng.uniform(0.5, 2.0, b.shape) if name.endswith("var") else rng.normal(size=b.shape)
+
+
+def unfolded(conv, bn, x, relu):
+    """The eval forward of conv -> bn as two ops."""
+    h = nnops.conv2d(x, conv.weight, stride=conv.stride, dilation=conv.dilation)
+    return nnops.batch_norm(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                            training=False, relu=relu)
 
 
 class TestBlockConfig:
@@ -43,6 +60,52 @@ class TestConv2DN:
         names = [n for n, _ in m.named_parameters()]
         assert "conv.bias" not in names
         assert "bn.gamma" in names and "bn.beta" in names
+
+
+class TestFoldedEval:
+    """In eval mode a conv and the batch norm after it run as one conv."""
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_conv2dn_matches_unfolded(self, rng, kernel, relu):
+        m = Conv2DN(3, 6, kernel=kernel, rng=rng)
+        set_bn_state(m, rng)
+        m.eval()
+        x = Node(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
+        out = m(x, relu=relu).value
+        ref = unfolded(m.conv, m.bn, x, relu).value
+        assert out.dtype == ref.dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("dilation", [1, 3])
+    def test_atrous_branch_matches_unfolded(self, rng, dilation):
+        branch = _AtrousBranch(4, 3, dilation, rng, np.float32)
+        set_bn_state(branch, rng)
+        branch.eval()
+        x = Node(rng.normal(size=(2, 4, 8, 8)).astype(np.float32))
+        out = branch(x).value
+        h = unfolded(branch.conv1, branch.bn2, branch.bn1(x, relu=True), relu=True)
+        ref = branch.conv2(h).value
+        assert out.dtype == ref.dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
+
+    def test_train_mode_runs_the_batch_norm(self, rng):
+        m = Conv2DN(3, 4, kernel=3, rng=rng, dtype=np.float64)
+        x = parameter(rng.normal(size=(2, 3, 5, 5)))
+        out = m(x, relu=True)
+        assert out._backward.__qualname__.startswith("batch_norm.")
+
+    def test_recorded_gradients_flow(self, rng):
+        m = Conv2DN(2, 3, kernel=3, rng=rng, dtype=np.float64)
+        set_bn_state(m, rng)
+        m.eval()
+        x0 = rng.normal(size=(1, 2, 5, 5))
+        x = parameter(x0.copy())
+        (m(x, relu=True) ** 2).sum().backward()
+        num = numeric_gradient(
+            lambda v: (m(parameter(v), relu=True) ** 2).sum().item(), x0.copy())
+        assert rel_err(x.grad, num) < 1e-6
+        assert all(np.any(p.grad) for p in m.parameters())
 
 
 class TestResBlockA:
@@ -159,6 +222,20 @@ class TestCombineUpsample:
         comb = Combine(4, 4, filters=4, rng=rng)
         with pytest.raises(ShapeError, match="[Uu]psample"):
             comb(make_input(rng, (1, 4, 4, 4)), make_input(rng, (1, 4, 8, 8)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,cout,h", [(8, 4, 16), (16, 8, 64), (64, 32, 64), (7, 3, 5)])
+    def test_eval_upsample_block_gives_the_bytes_of_upsample_first(self, rng, dtype, cin,
+                                                                   cout, h):
+        # (64, 32, 64): both conv orders run their GEMM as two pieces
+        up = UpSampleBlock(cin, cout, rng=rng, dtype=dtype)
+        set_bn_state(up, rng)
+        up.eval()
+        x = Node(rng.normal(size=(1, cin, h, h)).astype(dtype))
+        out = up(x).value
+        ref = up.conv(nnops.nearest_upsample(x, 2)).value
+        assert out.shape == (1, cout, 2 * h, 2 * h) and out.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
 
     def test_upsample_block_doubles(self, rng):
         up = UpSampleBlock(6, 3, rng=rng, dtype=np.float64)

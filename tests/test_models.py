@@ -172,6 +172,26 @@ class TestHeadConditioning:
         assert not np.array_equal(base, zeroed)
 
 
+class TestFoldedPredict:
+    """predict folds each batch norm into its conv from the live parameters."""
+
+    @pytest.mark.parametrize("gamma", ["trunk.encoder.0.branches.0.bn2.gamma",
+                                       "trunk.up.0.conv.bn.gamma",
+                                       "head.distance.c1.bn.gamma"])
+    def test_zeroed_gamma_changes_predict(self, gamma):
+        model = build_model(tiny_spec("cmtsk"), seed=0)
+        x = np.random.default_rng(5).random((1, 3, 64, 64), dtype=np.float32)
+        base = model.predict(x)
+        p = dict(model.named_parameters())[gamma]
+        kept = p.value.copy()
+        p.value[...] = 0.0
+        zeroed = model.predict(x)
+        p.value[...] = kept
+        again = model.predict(x)
+        assert any(not np.array_equal(base[t], zeroed[t]) for t in base)
+        assert all(base[t].tobytes() == again[t].tobytes() for t in base)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = build_model(tiny_spec("cmtsk"), seed=7)

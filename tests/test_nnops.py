@@ -1,6 +1,8 @@
 """Finite-difference gradient checks (f64) and shape contracts for every
 differentiable tensor op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from atrousseg import nnops
 from atrousseg.autodiff import Node, ShapeError, parameter
 from atrousseg.nnops import (batch_norm, channel_slice, concat_channels,
-                             conv2d, max_pool_grid, nearest_upsample, relu,
-                             sigmoid, softmax_channel)
+                             conv2d, fold_batch_norm, max_pool_grid,
+                             nearest_upsample, relu, sigmoid, softmax_channel)
 from conftest import numeric_gradient, rel_err
 
 TOL = 1e-4  # module contract; most ops land far below
@@ -548,6 +550,131 @@ class TestBatchNormRelu:
                          np.zeros(2), np.ones(2), training=True, relu=True)
         assert out._parents[0] is x
         assert (out.value >= 0).all()
+
+
+class TestConv2dBias:
+    """The bias is added while the output is copied out of the flat rows:
+    the bytes of copying first and adding in place after."""
+
+    @pytest.mark.parametrize("k,stride,dilation,shape", [
+        (1, 1, 1, (2, 3, 9, 7)), (1, 2, 1, (2, 3, 9, 7)), (3, 1, 1, (2, 3, 8, 8)),
+        (3, 2, 1, (1, 4, 7, 9)), (3, 1, 3, (1, 4, 8, 8)), (3, 1, 15, (1, 4, 8, 8)),
+        (3, 1, 1, (1, 32, 64, 64))])  # the last runs as two pieces
+    @pytest.mark.parametrize("dtype,bias_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)])
+    def test_bytes_of_copy_then_add(self, rng, k, stride, dilation, shape, dtype, bias_dtype):
+        x = rng.normal(size=shape).astype(dtype)
+        w = rng.normal(size=(5, shape[1], k, k)).astype(dtype)
+        b = rng.normal(size=5).astype(bias_dtype)
+        out = conv2d(x, w, b, stride=stride, dilation=dilation).value
+        ref = np.ascontiguousarray(conv2d(x, w, stride=stride, dilation=dilation).value)
+        ref += b[:, None, None]
+        assert out.flags.c_contiguous
+        assert out.dtype == ref.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
+
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_one_by_one_output_is_its_accumulator(self, rng, bias):
+        # a stride-1 1x1 output needs no copy out of the flat rows, so the
+        # bias goes into the one output-sized array the call makes
+        x = rng.normal(size=(1, 8, 64, 64)).astype(np.float32)
+        w = rng.normal(size=(8, 8, 1, 1)).astype(np.float32)
+        b = rng.normal(size=8).astype(np.float32) if bias else None
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.value.nbytes, peak / out.value.nbytes
+
+
+class TestReluInplace:
+    """``relu(x, inplace=True)`` on a conv2d output is ``relu(x)`` bit for
+    bit, in the conv output's own array."""
+
+    @staticmethod
+    def _run(x, w, b, g, inplace):
+        xn, wn, bn = parameter(x.copy()), parameter(w.copy()), parameter(b.copy())
+        out = relu(conv2d(xn, wn, bn), inplace=inplace)
+        (out * g).sum().backward()
+        return [out.value, xn.grad, wn.grad, bn.grad]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_relu(self, rng, dtype):
+        x = rng.normal(size=(2, 3, 6, 6)).astype(dtype)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+        b = np.array([0.0, 0.5, -0.5, 0.0], dtype)
+        w[0] = 0  # channel 0 of image 0 is exactly 0; image 1 holds a NaN
+        x[1, 2, 3, 3] = np.nan
+        g = rng.normal(size=(2, 4, 6, 6)).astype(dtype)
+        fused = self._run(x, w, b, g, inplace=True)
+        chained = self._run(x, w, b, g, inplace=False)
+        assert (fused[0][0, 0] == 0).all() and np.isnan(fused[0][1]).any()
+        for a, c in zip(fused, chained):
+            assert a.dtype == c.dtype == dtype
+            assert a.tobytes() == c.tobytes()
+
+    def test_rectifies_the_input_array(self, rng):
+        h = conv2d(rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(3, 2, 3, 3)))
+        out = relu(h, inplace=True)
+        assert out.value is h.value and (out.value >= 0).all()
+
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_gradients(self, rng, dilation):
+        x = rng.normal(size=(2, 3, 6, 6))
+        w = rng.normal(size=(4, 3, 3, 3)) * 0.5
+        b = rng.normal(size=(4,))
+        fd_check(lambda xn, wn, bn: (relu(conv2d(xn, wn, bn, dilation=dilation),
+                                          inplace=True) ** 2).sum(), [x, w, b])
+
+
+class TestFoldBatchNorm:
+    """fold_batch_norm gives weights and a bias with which one conv is the
+    eval-mode batch norm of the unfolded conv."""
+
+    @staticmethod
+    def _bn_state(rng, c, dtype=np.float64):
+        return (rng.normal(size=c).astype(dtype), rng.normal(size=c).astype(dtype),
+                rng.normal(0, 0.5, c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype))
+
+    @pytest.mark.parametrize("rectify", [False, True], ids=["plain", "relu"])
+    def test_gradients(self, rng, rectify):
+        # criterion-1 style: f64 central differences, the module's 1e-4 bound
+        x = rng.normal(size=(2, 3, 6, 6))
+        w = rng.normal(size=(4, 3, 3, 3)) * 0.5
+        gamma, beta, rm, rv = self._bn_state(rng, 4)
+
+        def build(wn, gn, bn):
+            out = conv2d(x, *fold_batch_norm(wn, gn, bn, rm, rv, np.float64))
+            return ((relu(out, inplace=True) if rectify else out) ** 2).sum()
+
+        fd_check(build, [w, gamma, beta])
+
+    def test_leaves_buffers_and_parameters_alone(self, rng):
+        w = parameter(rng.normal(size=(3, 2, 1, 1)))
+        gamma, beta, rm, rv = self._bn_state(rng, 3)
+        state = [a.copy() for a in (w.value, gamma, beta, rm, rv)]
+        wf, bf = fold_batch_norm(w, parameter(gamma), parameter(beta), rm, rv, np.float64)
+        (wf.sum() + bf.sum()).backward()
+        rm += 1.0  # a later buffer update does not reach the fold
+        assert not np.shares_memory(wf.value, w.value)
+        assert all(np.array_equal(a, b) for a, b in zip(state[:3], (w.value, gamma, beta)))
+        assert np.array_equal(rv, state[4])
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("k,dilation", [(1, 1), (3, 1), (3, 3)])
+    def test_matches_conv_then_eval_batch_norm(self, rng, dtype, tol, k, dilation):
+        x = rng.normal(size=(2, 3, 8, 8)).astype(dtype)
+        w = (rng.normal(size=(4, 3, k, k)) * 0.5).astype(dtype)
+        gamma, beta, rm, rv = self._bn_state(rng, 4, dtype)
+        folded = conv2d(x, *fold_batch_norm(w, gamma, beta, rm, rv, dtype),
+                        dilation=dilation).value
+        ref = batch_norm(conv2d(x, w, dilation=dilation), gamma, beta, rm, rv,
+                         training=False).value
+        assert folded.dtype == ref.dtype == dtype
+        np.testing.assert_allclose(folded, ref, rtol=tol, atol=tol)
 
 
 class TestMaxPoolGrid:
