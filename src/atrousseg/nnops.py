@@ -18,6 +18,8 @@ from .autodiff import Node, ShapeError, accumulate, as_node, make_node
 # smaller, and on a 2-vCPU VM a model whose calls have 9.4M multiply-adds
 # ran its sliding-window inference about 30% faster, on one CPU or two.
 _SPLIT_MACS = 1 << 22
+# batch_norm's epsilon, which fold_batch_norm folds with too
+_BN_EPS = 1e-5
 
 
 def relu(x, inplace: bool = False) -> Node:
@@ -83,9 +85,8 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     all land in the padding (common for large dilations on small planes) is
     skipped, forward and backward.  Stride 2 reads the even input pixels of
     a 1x1 kernel and keeps the even output pixels of the stride-1 result of
-    a wider one.  The bias, if any, is added in the same pass that copies
-    the output pixels out of the flat rows.  Backward rebuilds the flat input
-    from the input node's value instead of keeping it alive.
+    a wider one.  Backward rebuilds the flat input from the input node's
+    value instead of keeping it alive.
 
     A call of at least _SPLIT_MACS (2^22) multiply-adds cuts every tap's
     forward and input-gradient GEMM at one fixed 64-aligned column of the
@@ -144,14 +145,10 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
 
     acc = np.empty((n, cout, gap + h * p), np.result_type(xs, w.value))
     _tap_gemms(acc, [(m, o, a, size) for _, _, m, o, a, size in taps], flat(xs, 1))
-    out = crop(acc, step)
+    out = np.ascontiguousarray(crop(acc, step))
     if b is not None:
-        # added as the pixels are copied out of acc (in acc when they need no
-        # copy), in acc's dtype: the bits of a copy and then an in-place add
         b = as_node(b)
-        out = np.add(out, b.value[:, None, None],
-                     out=out if out.flags.c_contiguous else np.empty(out.shape, out.dtype))
-    out = np.ascontiguousarray(out)
+        out += b.value[:, None, None]
 
     def backward(g):
         gp = flat(g, step)
@@ -223,7 +220,7 @@ def _sum_windows(dst, windows, src, buf) -> None:
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
-               momentum: float = 0.9, eps: float = 1e-5, relu: bool = False) -> Node:
+               momentum: float = 0.9, eps: float = _BN_EPS, relu: bool = False) -> Node:
     """Per-channel batch normalisation over (N, H, W).
 
     In training mode, batch statistics normalise the input and the running
@@ -312,10 +309,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     return make_node(out, (x, gamma, beta), backward)
 
 
-def fold_batch_norm(w, gamma, beta, running_mean, running_var, dtype,
-                    eps: float = 1e-5) -> tuple[Node, Node]:
+def fold_batch_norm(w, gamma, beta, running_mean, running_var, dtype) -> tuple[Node, Node]:
     """Eval-mode batch norm folded into the unbiased conv before it: new
-    weights w*s and bias beta - mean*s, s = gamma/sqrt(running_var + eps),
+    weights w*s and bias beta - mean*s, s = gamma/sqrt(running_var + _BN_EPS),
     with the buffers cast to ``dtype`` (the conv output's) as batch_norm's
     eval branch casts them.  ``conv2d(x, *fold)`` is then
     ``batch_norm(conv2d(x, w), training=False)`` up to rounding (Jacob et
@@ -324,7 +320,7 @@ def fold_batch_norm(w, gamma, beta, running_mean, running_var, dtype,
     w, gamma, beta = as_node(w), as_node(gamma), as_node(beta)
     # copies: a train-mode call made before backward updates the buffers
     mean = running_mean.astype(dtype)
-    invstd = 1.0 / np.sqrt(running_var.astype(dtype, copy=False) + eps)
+    invstd = 1.0 / np.sqrt(running_var.astype(dtype, copy=False) + _BN_EPS)
     scale = gamma.value * invstd
     wf = w.value * scale[:, None, None, None]
     bf = beta.value - mean * scale

@@ -553,8 +553,8 @@ class TestBatchNormRelu:
 
 
 class TestConv2dBias:
-    """The bias is added while the output is copied out of the flat rows:
-    the bytes of copying first and adding in place after."""
+    """A biased conv2d returns a C-contiguous output with the bytes of the
+    unbiased output copied and then biased in place."""
 
     @pytest.mark.parametrize("k,stride,dilation,shape", [
         (1, 1, 1, (2, 3, 9, 7)), (1, 2, 1, (2, 3, 9, 7)), (3, 1, 1, (2, 3, 8, 8)),
@@ -572,7 +572,6 @@ class TestConv2dBias:
         assert out.flags.c_contiguous
         assert out.dtype == ref.dtype == dtype
         assert out.tobytes() == ref.tobytes()
-
 
     @pytest.mark.parametrize("bias", [False, True])
     def test_one_by_one_output_is_its_accumulator(self, rng, bias):
