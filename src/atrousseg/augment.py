@@ -44,11 +44,11 @@ def _affine_warp(record: SampleRecord, angle_deg: float,
     matrix = np.array([[cos, -sin], [sin, cos]]) / scale
     c = np.asarray(center, dtype=np.float64)
     offset = c - matrix @ c
-    image = np.stack([
-        ndimage.affine_transform(ch.astype(np.float64), matrix, offset=offset,
+    # scipy interpolates in float64 and rounds once on storing each channel.
+    image = np.empty_like(record.image)
+    for ch, out in zip(record.image, image):
+        ndimage.affine_transform(ch, matrix, offset=offset, output=out,
                                  order=1, mode="mirror")
-        for ch in record.image
-    ]).astype(record.image.dtype)
     mask = ndimage.affine_transform(record.mask, matrix, offset=offset,
                                     order=0, mode="mirror")
     return derive_record(image, mask, record.n_classes, dtype=record.image.dtype)

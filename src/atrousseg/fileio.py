@@ -23,7 +23,7 @@ def write_nct(path, array) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
+        fh.write(arr.data)
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:

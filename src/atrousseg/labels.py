@@ -46,10 +46,14 @@ def _check_mask(mask, n_classes: int) -> np.ndarray:
     return m
 
 
+def _class_planes(m: np.ndarray, n_classes: int) -> np.ndarray:
+    """(K, H, W) bool planes, plane k on where the checked mask is k."""
+    return m == np.arange(n_classes)[:, None, None]
+
+
 def one_hot(mask, n_classes: int, dtype=np.float32) -> np.ndarray:
     """Expand an integer mask (H, W) to exact one-hot planes (K, H, W)."""
-    m = _check_mask(mask, n_classes)
-    return (m == np.arange(n_classes)[:, None, None]).astype(dtype)
+    return _class_planes(_check_mask(mask, n_classes), n_classes).astype(dtype)
 
 
 def _plane(binary) -> np.ndarray:
@@ -94,39 +98,51 @@ def get_distance(binary, normalize: bool = True) -> np.ndarray:
     m = _plane(binary)
     d = np.zeros(m.shape)
     rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
-    if rows.size:
-        from scipy import ndimage
-        box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-        d[box] = ndimage.distance_transform_edt(np.pad(m[box], 1))[1:-1, 1:-1]
-    if not normalize:
+    if not rows.size:
         return d
-    lo, hi = d.min(), d.max()
-    if hi <= lo:
-        return np.zeros_like(d)
-    return (d - lo) / (hi - lo)
+    from scipy import ndimage
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    e = ndimage.distance_transform_edt(np.pad(m[box], 1))[1:-1, 1:-1]
+    if normalize:
+        # The plane's minimum is 0 unless the box fills the frame.
+        lo = e.min() if e.shape == m.shape else 0.0
+        hi = e.max()
+        if hi <= lo:
+            return d
+        e -= lo
+        e /= hi - lo
+    d[box] = e
+    return d
 
 
 def rgb_to_hsv(image) -> np.ndarray:
     """Hexcone RGB -> HSV on a (3, H, W) array, every channel in [0, 1].
 
     Hue is degrees/360; zero-saturation pixels get hue 0 by convention.
+    The result is float64 whatever the input dtype.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"expected (3, H, W) RGB, got shape {img.shape}")
     r, g, b = img
-    maxc = np.max(img, axis=0)
-    minc = np.min(img, axis=0)
-    delta = maxc - minc
-    safe = np.where(delta > 0, delta, 1.0)
-    h = np.zeros_like(maxc)
-    h = np.where((maxc == r) & (delta > 0), ((g - b) / safe) % 6.0, h)
-    h = np.where((maxc == g) & (delta > 0) & (maxc != r), (b - r) / safe + 2.0, h)
-    h = np.where((maxc == b) & (delta > 0) & (maxc != r) & (maxc != g),
-                 (r - g) / safe + 4.0, h)
-    h = h / 6.0
-    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-    return np.stack([h, s, maxc])
+    maxc = img.max(axis=0)
+    delta = np.subtract(maxc, img.min(axis=0), dtype=np.float64)
+    hsv = np.zeros(img.shape)
+    h, s, v = hsv
+    v[...] = maxc
+    # The channel holding the max owns the hue: red, else green, else blue.
+    red = r == maxc
+    green = (g == maxc) & ~red
+    np.subtract(np.where(red, g, np.where(green, b, r)),
+                np.where(red, b, np.where(green, r, g)), out=h, dtype=np.float64)
+    chroma = delta > 0
+    np.divide(h, delta, out=h, where=chroma)
+    # h lies in [-1, 1] now, so a red hue's "mod 6" adds 6 to a negative one.
+    h += np.where(red, np.where(h < 0, 6.0, 0.0), np.where(green, 2.0, 4.0))
+    h[~chroma] = 0.0
+    h /= 6.0
+    np.divide(delta, v, out=s, where=v > 0)
+    return hsv
 
 
 def hsv_to_rgb(hsv) -> np.ndarray:
@@ -168,10 +184,10 @@ def derive_record(image, mask, n_classes: int, dtype=np.float32) -> SampleRecord
     img = np.asarray(image, dtype=dtype)
     m = np.asarray(mask)
     check_sample(img, m, n_classes)
-    oh = one_hot(m, n_classes, dtype=dtype)
+    planes = _class_planes(m, n_classes)
+    oh = planes.astype(dtype)
     boundary, distance = np.empty_like(oh), np.empty_like(oh)
-    for k in range(n_classes):
-        plane = m == k
+    for k, plane in enumerate(planes):
         boundary[k] = get_boundary(plane)
         distance[k] = get_distance(plane)
     hsv = rgb_to_hsv(img[:3]).astype(dtype)

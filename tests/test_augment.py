@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from atrousseg.augment import (AugmentConfig, PatchRef, _affine_warp,
                                augment_record, extract_patches, patch_grid,
@@ -56,6 +57,25 @@ class TestAffine:
         a = augment_record(record, cfg, np.random.default_rng(99))
         b = augment_record(record, cfg, np.random.default_rng(99))
         assert (a.image == b.image).all() and (a.mask == b.mask).all()
+
+    @pytest.mark.parametrize("angle,scale", [(0.0, 1.0), (37.0, 0.8), (200.0, 1.25),
+                                             (333.3, 1.0)])
+    def test_image_equals_float64_round_trip(self, rng, angle, scale):
+        rec = derive_record(rng.random((4, 24, 20)).astype(np.float32),
+                            rng.integers(0, 3, (24, 20)), 3)
+        center = (9.3, 12.6)
+        out = _affine_warp(rec, angle, center, scale)
+        theta = np.deg2rad(angle)
+        matrix = np.array([[np.cos(theta), -np.sin(theta)],
+                           [np.sin(theta), np.cos(theta)]]) / scale
+        offset = np.asarray(center) - matrix @ np.asarray(center)
+        want = np.stack([
+            ndimage.affine_transform(ch.astype(np.float64), matrix, offset=offset,
+                                     order=1, mode="mirror")
+            for ch in rec.image
+        ]).astype(np.float32)
+        assert out.image.dtype == np.float32 and out.image.shape == (4, 24, 20)
+        assert out.image.tobytes() == want.tobytes()
 
 
 class TestFlip:

@@ -35,6 +35,22 @@ class TestNct:
         write_nct(path, np.array([1.0, 2.0], dtype=np.float64))
         assert read_nct(path).dtype == np.float32
 
+    @pytest.mark.parametrize("make", [
+        lambda: np.float64(-2.25),
+        lambda: np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+        lambda: np.arange(12, dtype=np.float32).reshape(3, 4).T,
+        lambda: np.arange(24, dtype=np.float32).reshape(2, 3, 4)[:, ::-1, ::-2],
+    ], ids=["rank0", "float64", "transposed", "flipped"])
+    def test_bytes_are_c_order_little_endian_f4(self, tmp_path, make):
+        a = make()
+        path = tmp_path / "b.nct"
+        write_nct(path, a)
+        want = np.asarray(a, "<f4", order="C")
+        header = b"NCT1" + struct.pack(f"<I{want.ndim}I", want.ndim, *want.shape)
+        assert path.read_bytes() == header + want.tobytes()
+        back = read_nct(path)
+        assert back.shape == np.shape(a) and np.array_equal(back, want)
+
     def test_layout_is_documented_format(self, tmp_path):
         path = tmp_path / "l.nct"
         write_nct(path, np.arange(6, dtype=np.float32).reshape(2, 3))

@@ -56,6 +56,25 @@ def brute_force_distance(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def where_chain_hsv(image) -> np.ndarray:
+    """RGB -> HSV by three full-plane np.where passes on a float64 copy; the
+    hue owner ranks red, then green, then blue."""
+    img = np.asarray(image, dtype=np.float64)
+    r, g, b = img
+    maxc = np.max(img, axis=0)
+    minc = np.min(img, axis=0)
+    delta = maxc - minc
+    safe = np.where(delta > 0, delta, 1.0)
+    h = np.zeros_like(maxc)
+    h = np.where((maxc == r) & (delta > 0), ((g - b) / safe) % 6.0, h)
+    h = np.where((maxc == g) & (delta > 0) & (maxc != r), (b - r) / safe + 2.0, h)
+    h = np.where((maxc == b) & (delta > 0) & (maxc != r) & (maxc != g),
+                 (r - g) / safe + 4.0, h)
+    h = h / 6.0
+    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    return np.stack([h, s, maxc])
+
+
 class TestOneHot:
     def test_constant_mask(self):
         oh = one_hot(np.zeros((3, 3), dtype=int), 4)
@@ -219,6 +238,23 @@ class TestColor:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             rgb_to_hsv(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_where_chain_bit_for_bit(self, dtype, rng):
+        img = rng.random((3, 16, 16)).astype(dtype)
+        img[:, 0, 0] = (0.7, 0.7, 0.2)    # r = g = max
+        img[:, 0, 1] = (0.2, 0.7, 0.7)    # g = b = max
+        img[:, 0, 2] = (0.7, 0.2, 0.7)    # r = b = max
+        img[:, 0, 3] = (0.4, 0.4, 0.4)    # grey
+        img[:, 0, 4] = 0.0                # black
+        img[:, 0, 5] = (0.9, 0.1, 0.5)    # red owns a negative g - b
+        for c in range(3):
+            img[c, 1, c] = np.nan
+        got = rgb_to_hsv(img)
+        want = where_chain_hsv(img)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert (got[0, 1, :3] == 0.0).all()
 
 
 class TestDeriveRecord:
