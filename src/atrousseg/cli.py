@@ -149,11 +149,16 @@ def cmd_infer(args) -> int:
         model = load_checkpoint(args.checkpoint)
         tile = fileio.read_image(args.image)
         probs = evaluate.sliding_window_inference(tile, model, window=args.window)
-    if not np.isfinite(probs).all():
+    if not all(np.isfinite(plane).all() for plane in probs):
         raise CliError("numeric", "non-finite probabilities produced during inference")
     out = fileio.ensure_dir(args.out)
     fileio.write_nct(out / "probabilities.nct", probs)
-    fileio.write_pgm(out / "prediction.pgm", probs.argmax(axis=0).astype(np.uint8))
+    # argmax over the leading axis copies all of probs first; a row at a time
+    # copies a row
+    pred = np.empty(probs.shape[1:], dtype=np.uint8)
+    for i in range(pred.shape[0]):
+        pred[i] = probs[:, i].argmax(axis=0)
+    fileio.write_pgm(out / "prediction.pgm", pred)
     print(f"wrote probabilities and prediction to {out}")
     return 0
 

@@ -33,12 +33,17 @@ def sliding_window_inference(tile, model, window: int = 256,
                              stride: int | None = None) -> np.ndarray:
     """Average model probabilities over a dense grid of overlapping windows.
 
-    The tile (C, Ht, Wt) is reflect-padded and the model is run at every
-    stride-multiple offset whose window still touches the tile, so every
-    tile pixel is covered by exactly (window/stride)^2 windows regardless of
-    where it sits — (window=256, stride=64) means 16 views per pixel.  The
-    result is the per-pixel arithmetic mean, cropped back to (K, Ht, Wt).
-    Windows run in row-major offset order with f64 accumulation.
+    The model is run at every stride-multiple offset whose window still
+    touches the tile (C, Ht, Wt), so every tile pixel is covered by exactly
+    (window/stride)^2 windows regardless of where it sits — (window=256,
+    stride=64) means 16 views per pixel.  Windows reaching past the edge read
+    the reflect-padded tile.  The result is the per-pixel arithmetic mean,
+    (K, Ht, Wt) float64.  Windows run in row-major offset order.
+
+    What it holds: one float64 (K, Ht, Wt) accumulator, one row strip and one
+    window, with no padded canvas.  Each window is gathered from the tile
+    through reflect index maps, adds only its overlap with the tile, and the
+    accumulator is divided in place and returned.
     """
     arr = np.asarray(tile)
     if arr.ndim != 3:
@@ -53,28 +58,40 @@ def sliding_window_inference(tile, model, window: int = 256,
 
     # Offsets are all stride multiples o with o <= t <= o + window - 1 for
     # some tile pixel t; each pixel then sees exactly window/stride offsets
-    # per axis.  The canvas is padded to hold the extreme windows.
+    # per axis.  Entry o + lead of an index map is the tile row (column) that
+    # padded coordinate o reads, mirrored as reflect_pad mirrors the tile.
     lead = window - stride
-    off_rows = np.arange(-lead, stride * ((ht - 1) // stride) + 1, stride)
-    off_cols = np.arange(-lead, stride * ((wt - 1) // stride) + 1, stride)
-    pad_bottom = int(off_rows[-1]) + window - ht
-    pad_right = int(off_cols[-1]) + window - wt
-    canvas = reflect_pad(arr, lead, pad_bottom, lead, pad_right)
+    off_rows = range(-lead, stride * ((ht - 1) // stride) + 1, stride)
+    off_cols = range(-lead, stride * ((wt - 1) // stride) + 1, stride)
+    row_map = _reflect_index(ht, lead, off_rows[-1] + window - ht)
+    col_map = _reflect_index(wt, lead, off_cols[-1] + window - wt)
 
+    # take() buffers its out= under mode="raise"; the maps are in range
+    strip = np.empty((c, window, wt), dtype=arr.dtype)
     acc = None
-    for orow in off_rows + lead:          # canvas coordinates
-        for ocol in off_cols + lead:
-            patch = canvas[:, orow:orow + window, ocol:ocol + window]
-            probs = np.asarray(predict(patch[None].astype(arr.dtype, copy=False)))
+    for orow in off_rows:
+        np.take(arr, row_map[orow + lead:orow + lead + window], axis=1, out=strip, mode="clip")
+        r0, r1 = max(orow, 0), min(orow + window, ht)
+        for ocol in off_cols:
+            patch = np.take(strip, col_map[ocol + lead:ocol + lead + window], axis=2)
+            probs = np.asarray(predict(patch[None]))
             if (probs.ndim != 4 or probs.shape[0] != 1
                     or probs.shape[-2:] != (window, window)):
                 raise ValueError(
                     f"model must map (1,C,{window},{window}) to (1,K,{window},{window}), "
                     f"got output shape {probs.shape}")
             if acc is None:
-                acc = np.zeros((probs.shape[1],) + canvas.shape[-2:], dtype=np.float64)
-            acc[:, orow:orow + window, ocol:ocol + window] += probs[0]
-    return acc[:, lead:lead + ht, lead:lead + wt] / (window // stride) ** 2
+                acc = np.zeros((probs.shape[1], ht, wt), dtype=np.float64)
+            c0, c1 = max(ocol, 0), min(ocol + window, wt)
+            acc[:, r0:r1, c0:c1] += probs[0, :, r0 - orow:r1 - orow, c0 - ocol:c1 - ocol]
+    acc /= (window // stride) ** 2
+    return acc
+
+
+def _reflect_index(n: int, before: int, after: int) -> np.ndarray:
+    """Tile index of each coordinate of an axis of length n reflect-padded by
+    ``before`` and ``after``."""
+    return reflect_pad(np.arange(n)[None], 0, 0, before, after)[0]
 
 
 @dataclass

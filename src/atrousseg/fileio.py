@@ -17,13 +17,18 @@ _MAGIC = b"NCT1"
 
 
 def write_nct(path, array) -> None:
-    # asarray keeps rank-0 inputs rank 0 (ascontiguousarray would promote)
-    arr = np.asarray(array, dtype="<f4", order="C")
+    """Write ``array`` as NCT1.  A C-contiguous ``<f4`` array is written from
+    its own buffer; any other array of rank 2 or more is converted one
+    leading-axis slab at a time, so no full-size f32 copy is made."""
+    arr = np.asarray(array)
+    whole = arr.ndim < 2 or (arr.dtype == "<f4" and arr.flags.c_contiguous)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.data)
+        # asarray keeps rank-0 inputs rank 0 (ascontiguousarray would promote)
+        for slab in (arr,) if whole else arr:
+            fh.write(np.asarray(slab, dtype="<f4", order="C").data)
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
@@ -112,7 +117,7 @@ def read_image(path) -> np.ndarray:
         if arr.ndim != 3:
             raise ValueError(f"{p}: expected a (C, H, W) tensor, got shape {arr.shape}")
         return arr
-    return (read_ppm(p).astype(np.float32) / 255.0).transpose(2, 0, 1)
+    return np.divide(read_ppm(p), np.float32(255.0), dtype=np.float32).transpose(2, 0, 1)
 
 
 def ensure_dir(path) -> Path:

@@ -126,8 +126,10 @@ class Conv2d(Module):
         std = np.sqrt(2.0 / (in_channels * kernel * kernel))
         shape = (out_channels, in_channels, kernel, kernel)
         # OIHW shape over tap-major (k, k, cout, cin) memory: each tap's
-        # (cout, cin) weights w[:, :, i, j] are one contiguous block
-        taps = np.ascontiguousarray(rng.normal(0.0, std, shape).transpose(2, 3, 0, 1))
+        # (cout, cin) weights w[:, :, i, j] are one contiguous block.  The
+        # draw is cast before the tap-major copy, so only dtype bytes move.
+        draw = rng.normal(0.0, std, shape).astype(dtype, copy=False)
+        taps = np.ascontiguousarray(draw.transpose(2, 3, 0, 1))
         self.weight = parameter(taps.transpose(2, 3, 0, 1), dtype=dtype)
         self.bias = parameter(np.zeros(out_channels), dtype=dtype) if bias else None
         self.stride = stride

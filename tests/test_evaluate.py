@@ -1,15 +1,17 @@
 """Windowed inference, padding, confusion metrics, and error maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atrousseg import fileio
 from atrousseg.evaluate import (ERROR_CORRECT, ERROR_IGNORED, ERROR_INCORRECT,
                                 ConfusionMatrix, confusion, error_map,
-                                f1_from_precision_recall, metrics, reflect_pad, sliding_window_inference,
-                                write_error_map)
+                                _as_predict, f1_from_precision_recall, metrics, reflect_pad,
+                                sliding_window_inference, write_error_map)
 
 
 class TestReflectPad:
@@ -88,6 +90,62 @@ class _PatchMeanStub:
         return np.full((1, 2) + x.shape[-2:], m)
 
 
+def canvas_sliding_window_inference(tile, model, window: int = 256,
+                                    stride: int | None = None) -> np.ndarray:
+    """The padded-canvas implementation that the tile accumulator replaced."""
+    arr = np.asarray(tile)
+    if arr.ndim != 3:
+        raise ValueError(f"tile must be (C, H, W), got shape {arr.shape}")
+    c, ht, wt = arr.shape
+    if ht < 1 or wt < 1:
+        raise ValueError("tile must be at least 1x1")
+    stride = window // 4 if stride is None else stride
+    if stride < 1 or window % stride:
+        raise ValueError(f"stride {stride} must divide window {window}")
+    predict = _as_predict(model)
+
+    # Offsets are all stride multiples o with o <= t <= o + window - 1 for
+    # some tile pixel t; each pixel then sees exactly window/stride offsets
+    # per axis.  The canvas is padded to hold the extreme windows.
+    lead = window - stride
+    off_rows = np.arange(-lead, stride * ((ht - 1) // stride) + 1, stride)
+    off_cols = np.arange(-lead, stride * ((wt - 1) // stride) + 1, stride)
+    pad_bottom = int(off_rows[-1]) + window - ht
+    pad_right = int(off_cols[-1]) + window - wt
+    canvas = reflect_pad(arr, lead, pad_bottom, lead, pad_right)
+
+    acc = None
+    for orow in off_rows + lead:          # canvas coordinates
+        for ocol in off_cols + lead:
+            patch = canvas[:, orow:orow + window, ocol:ocol + window]
+            probs = np.asarray(predict(patch[None].astype(arr.dtype, copy=False)))
+            if (probs.ndim != 4 or probs.shape[0] != 1
+                    or probs.shape[-2:] != (window, window)):
+                raise ValueError(
+                    f"model must map (1,C,{window},{window}) to (1,K,{window},{window}), "
+                    f"got output shape {probs.shape}")
+            if acc is None:
+                acc = np.zeros((probs.shape[1],) + canvas.shape[-2:], dtype=np.float64)
+            acc[:, orow:orow + window, ocol:ocol + window] += probs[0]
+    return acc[:, lead:lead + ht, lead:lead + wt] / (window // stride) ** 2
+
+
+class _PositionStub:
+    """Fake model whose every output pixel depends on every input pixel of
+    its window, on the pixel's own input values and on the window's place in
+    the call sequence; output in the input's dtype."""
+
+    def __init__(self, n_classes=3):
+        self.n_classes = n_classes
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        planes = [x[0, k % x.shape[1]] * (k + 1) for k in range(self.n_classes)]
+        out = np.stack(planes)[None] + x.sum() / x.size + 0.37 * self.calls
+        return out.astype(x.dtype)
+
+
 class TestSlidingWindow:
     @pytest.mark.parametrize("shape,window,stride", [
         ((1, 5, 7), 4, 2), ((2, 8, 8), 4, 1), ((1, 1, 1), 4, 2),
@@ -105,6 +163,41 @@ class TestSlidingWindow:
         per_axis = window // stride
         assert stub.calls == ((per_axis + (shape[1] - 1) // stride)
                               * (per_axis + (shape[2] - 1) // stride))
+
+    @given(c=st.integers(1, 3), ht=st.integers(1, 40), wt=st.integers(1, 40),
+           pair=st.sampled_from([(4, 1), (4, 2), (4, 4), (6, 2), (6, 3), (8, 2), (8, 8),
+                                (15, 5), (16, 4)]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 16))
+    @example(c=1, ht=1, wt=1, pair=(4, 2), dtype=np.float32, seed=0)
+    @example(c=2, ht=1, wt=40, pair=(8, 2), dtype=np.float64, seed=1)
+    @example(c=3, ht=40, wt=1, pair=(6, 3), dtype=np.float32, seed=2)
+    @example(c=1, ht=3, wt=2, pair=(16, 4), dtype=np.float64, seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_bits_equal_padded_canvas_reference(self, c, ht, wt, pair, dtype, seed):
+        window, stride = pair
+        tile = np.random.default_rng(seed).normal(size=(c, ht, wt)).astype(dtype)
+        got = sliding_window_inference(tile, _PositionStub(), window=window, stride=stride)
+        want = canvas_sliding_window_inference(tile, _PositionStub(), window=window,
+                                               stride=stride)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_holds_the_accumulator_and_a_window(self, rng):
+        # a 3-band f32 tile, two classes: the padded-canvas path held the
+        # canvas, a canvas-sized accumulator and the divided crop at once
+        c, ht, wt, window, stride, k = 3, 512, 640, 128, 64, 2
+        tile = rng.random((c, ht, wt), dtype=np.float32)
+        model = lambda x: np.full((1, k) + x.shape[-2:], x[0, 0, 0, 0], np.float32)
+        tracemalloc.start()
+        try:
+            out = sliding_window_inference(tile, model, window=window, stride=stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        strip = c * window * wt * tile.itemsize
+        window_f64 = k * window * window * 8
+        assert out.shape == (k, ht, wt)
+        assert peak <= out.nbytes + strip + 4 * window_f64, peak / out.nbytes
 
     def test_constant_model_gives_constant_field(self, rng):
         tile = rng.random((2, 13, 6))

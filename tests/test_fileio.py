@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrousseg.fileio import (ensure_dir, read_nct, read_pgm, read_ppm,
+from atrousseg.fileio import (ensure_dir, read_image, read_nct, read_pgm, read_ppm,
                               write_nct, write_pgm, write_ppm)
 
 
@@ -50,6 +50,28 @@ class TestNct:
         assert path.read_bytes() == header + want.tobytes()
         back = read_nct(path)
         assert back.shape == np.shape(a) and np.array_equal(back, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 5), (0, 3, 2), (2, 0, 3)])
+    @pytest.mark.parametrize("view", ["c", "transposed", "flipped"])
+    def test_slab_writer_matches_whole_array_writer(self, tmp_path, dtype, shape, view):
+        def whole_array_write_nct(path, array):
+            arr = np.asarray(array, dtype="<f4", order="C")
+            with open(path, "wb") as fh:
+                fh.write(b"NCT1")
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.data)
+
+        a = (np.random.default_rng(7).normal(size=shape) * 1e3).astype(dtype)
+        if view == "transposed":
+            a = a.T
+        elif view == "flipped":
+            a = a[(slice(None, None, -1),) * a.ndim]
+        got, want = tmp_path / "slab.nct", tmp_path / "whole.nct"
+        write_nct(got, a)
+        whole_array_write_nct(want, a)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_layout_is_documented_format(self, tmp_path):
         path = tmp_path / "l.nct"
@@ -170,6 +192,17 @@ class TestPpm:
         path.write_bytes(b"P6\n3")
         with pytest.raises(ValueError, match="truncated"):
             read_ppm(path)
+
+
+class TestReadImage:
+    def test_ppm_scaled_as_float32_division(self, tmp_path):
+        img = (np.arange(16 * 16 * 3) % 256).astype(np.uint8).reshape(16, 16, 3)
+        path = tmp_path / "i.ppm"
+        write_ppm(path, img)
+        got = read_image(path)
+        want = (img.astype(np.float32) / 255.0).transpose(2, 0, 1)
+        assert got.dtype == np.float32 and got.shape == (3, 16, 16)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestEnsureDir:
