@@ -128,19 +128,18 @@ class PSPPooling(Module):
     Channel group i is max-pooled on a scales[i] x scales[i] grid and
     broadcast back; the pooled groups are concatenated with the original
     input and fused by a 1x1 normed convolution restoring the channel count.
-    With ``adaptive=True`` scales that do not divide the plane are dropped
-    (needed when the middle feature map is smaller than the largest grid).
+    Scales that do not divide the plane are always dropped (``clamp_scales``),
+    so a plane smaller than the largest grid still pools.
     """
 
-    def __init__(self, channels: int, scales: tuple[int, ...] = (1, 2, 4, 8),
-                 adaptive: bool = False, *, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, channels: int, scales: tuple[int, ...] = (1, 2, 4, 8), *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         if channels < len(scales):
             raise ValueError(
                 f"psp_pooling: {channels} channels cannot be split into {len(scales)} groups")
         self.channels = channels
         self.scales = tuple(scales)
-        self.adaptive = adaptive
         self.fuse = Conv2DN(2 * channels, channels, kernel=1, rng=rng, dtype=dtype)
 
     def forward(self, x) -> Node:
@@ -148,7 +147,7 @@ class PSPPooling(Module):
         if c != self.channels:
             raise ShapeError(
                 f"psp_pooling: input has {c} channels, block expects {self.channels}")
-        scales = clamp_scales(self.scales, h, w) if self.adaptive else self.scales
+        scales = clamp_scales(self.scales, h, w)
         edges = np.linspace(0, c, len(scales) + 1).astype(int)
         pooled = [nnops.max_pool_grid(nnops.channel_slice(x, a, b), cells=s)
                   for s, a, b in zip(scales, edges[:-1], edges[1:])]

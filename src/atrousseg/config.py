@@ -5,12 +5,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Real
 from pathlib import Path
 
 from .augment import AugmentConfig
 from .models import ModelSpec
 from .synth import SceneSpec
 from .trainer import TrainConfig
+
+
+def check_split(split) -> None:
+    """A split is three non-negative numbers summing to 1; raises ValueError
+    otherwise.  The values are read, never converted."""
+    if not (isinstance(split, (list, tuple)) and len(split) == 3
+            and all(isinstance(r, Real) and not isinstance(r, bool) and r >= 0
+                    for r in split)
+            and abs(sum(split) - 1.0) <= 1e-9):
+        raise ValueError("data.split must be 3 non-negative ratios summing to 1, "
+                         f"got {split!r}")
 
 
 @dataclass
@@ -34,6 +46,7 @@ class DataConfig:
             raise ValueError("data.kind 'directory' requires data.path")
         if self.kind == "synthetic":
             self.scene_spec()  # SceneSpec owns the recipe rules
+        check_split(self.split)
 
     def scene_spec(self) -> SceneSpec:
         """The synthetic-scene recipe of this section."""

@@ -121,11 +121,11 @@ class _Trunk(Module):
 
         deepest = widths[-1]
         if spec.depth == "d6":
-            self.middle = PSPPooling(deepest, PSP_FULL, adaptive=True, rng=rng)
+            self.middle = PSPPooling(deepest, PSP_FULL, rng=rng)
         elif spec.depth == "d7v1":
             self.middle = _MiddleV1(deepest, rng)
         else:
-            self.middle = PSPPooling(deepest, PSP_REDUCED, adaptive=True, rng=rng)
+            self.middle = PSPPooling(deepest, PSP_REDUCED, rng=rng)
 
         self.up = ModuleList(
             UpSampleBlock(widths[i + 1], widths[i], rng=rng)
@@ -170,7 +170,7 @@ class _RegressionBranch(Module):
 class _SingleHead(Module):
     def __init__(self, channels, n_classes, rng):
         super().__init__()
-        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng)
+        self.psp = PSPPooling(channels, PSP_FULL, rng=rng)
         self.logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng)
 
     def forward(self, x) -> MultiHeadOutput:
@@ -185,7 +185,7 @@ class _MtskHead(Module):
 
     def __init__(self, channels, n_classes, rng):
         super().__init__()
-        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng)
+        self.psp = PSPPooling(channels, PSP_FULL, rng=rng)
         self.seg_logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng)
         self.bound_logit = Conv2d(channels, n_classes, 1, bias=True, rng=rng)
         self.distance = _RegressionBranch(channels, n_classes, rng)
@@ -208,7 +208,7 @@ class _CmtskHead(Module):
         super().__init__()
         k = n_classes
         self.distance = _RegressionBranch(channels, k, rng)
-        self.psp = PSPPooling(channels, PSP_FULL, adaptive=True, rng=rng)
+        self.psp = PSPPooling(channels, PSP_FULL, rng=rng)
         self.bound_logit = Conv2d(channels + k, k, 1, bias=True, rng=rng)
         self.seg_logit = Conv2d(channels + 2 * k, k, 1, bias=True, rng=rng)
         self.color = _RegressionBranch(channels, 3, rng)

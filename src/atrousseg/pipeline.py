@@ -1,14 +1,16 @@
-"""End-to-end assembly: dataset construction, record splitting, the checked
-prelude shared by `train` and `lr-find`, and the training entry point."""
+"""End-to-end assembly: dataset construction, the one train/val/test split
+of whole records, the checked prelude shared by `train` and `lr-find`, and
+the training entry point."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 
+import numpy as np
+
 from . import fileio, synth
-from .augment import PatchRef, split_dataset
-from .config import DataConfig, RunConfig, write_snapshot
+from .config import DataConfig, RunConfig, check_split, write_snapshot
 from .labels import SampleRecord, derive_record
 from .models import build_model, param_count, save_checkpoint
 from .trainer import history_to_csv, micro_batches, train
@@ -24,10 +26,28 @@ def build_records(data: DataConfig) -> list[SampleRecord]:
 
 
 def split_records(records, ratios=(0.8, 0.1, 0.1), seed: int = 0):
-    """Deterministic 3-way split; whole records never straddle splits."""
-    refs = [PatchRef(tile_id=i, row=0, col=0, size=1) for i in range(len(records))]
-    parts = split_dataset(refs, ratios=tuple(ratios), seed=seed)
-    return tuple([records[r.tile_id] for r in part] for part in parts)
+    """Split records into (train, val, test) lists: a permutation seeded by
+    ``seed`` is cut into counts that follow ``ratios`` by largest remainder,
+    and every non-zero ratio keeps at least one record."""
+    check_split(ratios)
+    n = len(records)
+    needed = sum(1 for r in ratios if r > 0)
+    if n < needed:
+        raise ValueError(f"only {n} records for {needed} non-empty splits")
+    order = np.random.default_rng(seed).permutation(n)
+
+    quota = [r * n for r in ratios]
+    counts = [int(q) for q in quota]
+    rema = sorted(range(3), key=lambda i: (quota[i] - counts[i], -i), reverse=True)
+    for i in rema[: n - sum(counts)]:
+        counts[i] += 1
+    for i, r in enumerate(ratios):
+        if r > 0 and counts[i] == 0:
+            counts[i] += 1
+            counts[int(np.argmax(counts))] -= 1
+
+    bounds = np.cumsum([0, *counts])
+    return tuple([records[i] for i in order[lo:hi]] for lo, hi in zip(bounds, bounds[1:]))
 
 
 def check_model_fits(cfg: RunConfig, records) -> None:

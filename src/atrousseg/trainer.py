@@ -46,34 +46,20 @@ class Adam(object):
             p.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
 
 
-class Sgd(object):
-    """Plain gradient descent; used by the LR finder's stability checks."""
-
-    def __init__(self, params, lr: float = 1e-3):
-        self.params = list(params)
-        self.lr = float(lr)
-        self.t = 0
-
-    def step(self):
-        self.t += 1
-        for p in self.params:
-            p.value -= self.lr * p.grad
-
-
 def micro_batches(records, size: int) -> list:
     """``records`` cut in order into chunks of ``size``; the last may be shorter."""
     return [records[lo:lo + size] for lo in range(0, len(records), size)]
 
 
-def aggregate_gradients(loss_fn, params, batches, sizes=None) -> float:
+def aggregate_gradients(loss_fn, params, batches) -> float:
     """Accumulate the gradient of the size-weighted mean loss over batches.
 
     ``loss_fn(batch)`` must return a scalar loss Node (already averaged over
-    the batch).  Gradients land additively in ``params``; the return value
-    is the aggregate loss.  One optimizer step per aggregation window.
+    the batch).  A batch weighs ``len(batch)``, or 1 when it has no length.
+    Gradients land additively in ``params``; the return value is the
+    aggregate loss.  One optimizer step per aggregation window.
     """
-    if sizes is None:
-        sizes = [len(b) if hasattr(b, "__len__") else 1 for b in batches]
+    sizes = [len(b) if hasattr(b, "__len__") else 1 for b in batches]
     total = float(sum(sizes))
     for p in params:
         p.zero_grad()
@@ -96,10 +82,10 @@ class LrFinderResult:
 
 
 def lr_finder(loss_fn, params, batches, lr_lo: float = 1e-6, lr_hi: float = 1.0,
-              steps: int = 100, optimizer: str = "adam") -> LrFinderResult:
+              steps: int = 100) -> LrFinderResult:
     """Sweep the learning rate geometrically and report the steepest descent.
 
-    One optimizer step per LR value, cycling through ``batches``; the loss
+    One Adam step per LR value, cycling through ``batches``; the loss
     curve is EMA-smoothed (bias-corrected).  The sweep aborts once the
     smoothed loss exceeds 4x its running minimum.  Parameters are restored
     afterwards, but not the batch-norm running statistics that the
@@ -111,7 +97,7 @@ def lr_finder(loss_fn, params, batches, lr_lo: float = 1e-6, lr_hi: float = 1.0,
         raise ValueError("lr_finder needs at least 2 steps")
     params = list(params)
     saved = [p.value.copy() for p in params]
-    opt = {"adam": Adam, "sgd": Sgd}[optimizer](params, lr=lr_lo)
+    opt = Adam(params, lr=lr_lo)
     ratio = (lr_hi / lr_lo) ** (1.0 / (steps - 1))
 
     lrs, losses, smoothed = [], [], []
@@ -179,10 +165,6 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.loss_id not in LOSS_IDS:
             raise ValueError(f"unknown loss id {self.loss_id!r}; choose from {LOSS_IDS}")
-
-    @property
-    def effective_batch(self) -> int:
-        return self.micro_batch * self.aggregate_steps
 
 
 @dataclass

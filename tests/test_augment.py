@@ -1,4 +1,4 @@
-"""Warp/flip behavior and the patch-split bookkeeping guarantees."""
+"""Warp and flip behavior."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from atrousseg.augment import (AugmentConfig, PatchRef, _affine_warp,
-                               augment_record, extract_patches, patch_grid,
-                               random_affine, random_flip, split_dataset)
+from atrousseg.augment import (AugmentConfig, _affine_warp, augment_record,
+                               random_affine, random_flip)
 from atrousseg.labels import derive_record, one_hot
 
 
@@ -107,77 +106,3 @@ class TestAugmentConfig:
         with pytest.raises(ValueError):
             AugmentConfig(**kw)
 
-
-class TestPatches:
-    def test_offset_enumeration(self):
-        offs = patch_grid(512, 512, size=256, stride=128)
-        assert len(offs) == 9
-        assert offs[0] == (0, 0) and offs[-1] == (256, 256)
-
-    def test_exact_fit_single_patch(self):
-        assert patch_grid(256, 256) == [(0, 0)]
-
-    def test_adjacent_overlap(self):
-        offs = patch_grid(512, 256, size=256, stride=128)
-        rows = [r for r, _ in offs]
-        assert rows == [0, 128, 256]  # each overlaps the next by 128 rows
-
-    def test_undersized_tile_rejected(self):
-        with pytest.raises(ValueError, match="smaller"):
-            patch_grid(200, 512)
-
-    def test_extract_concrete_windows(self, rng):
-        tile = rng.random((2, 384, 384))
-        patches = extract_patches(tile, size=256, stride=128)
-        assert len(patches) == 4
-        assert patches[0].shape == (2, 256, 256)
-        assert (patches[-1] == tile[:, 128:, 128:]).all()
-
-
-class TestSplit:
-    def test_ten_groups_eight_one_one(self):
-        patches = [PatchRef(t, 0, 0, 256) for t in range(10)]
-        tr, va, te = split_dataset(patches, seed=4)
-        assert (len(tr), len(va), len(te)) == (8, 1, 1)
-
-    def test_deterministic(self):
-        patches = [PatchRef(t, 0, 0, 64) for t in range(12)]
-        assert split_dataset(patches, seed=9) == split_dataset(patches, seed=9)
-
-    def test_footprints_disjoint(self):
-        patches = [PatchRef(t, r, c, 256)
-                   for t in range(5) for r, c in patch_grid(512, 512)]
-        tr, va, te = split_dataset(patches, seed=1)
-
-        def pixels(split):
-            out = set()
-            for p in split:
-                out.update((p.tile_id, i, j)
-                           for i in range(p.row, p.row + p.size, 64)
-                           for j in range(p.col, p.col + p.size, 64))
-            return out
-
-        assert not pixels(tr) & pixels(va)
-        assert not pixels(va) & pixels(te)
-        assert not pixels(tr) & pixels(te)
-        assert len(tr) + len(va) + len(te) == len(patches)
-
-    def test_overlapping_patches_travel_together(self):
-        # stride < size keeps all of a tile's patches in one group
-        patches = [PatchRef(0, r, c, 256) for r, c in patch_grid(512, 512)]
-        tr, va, te = split_dataset(patches + [PatchRef(1, 0, 0, 256),
-                                              PatchRef(2, 0, 0, 256)], seed=0)
-        tile0 = [p.tile_id == 0 for p in tr + va + te]
-        for split in (tr, va, te):
-            ids = {p.tile_id for p in split}
-            assert not ({0} < ids and len([p for p in split if p.tile_id == 0]) < 9)
-        assert sum(tile0) == 9
-
-    def test_too_few_groups_rejected(self):
-        with pytest.raises(ValueError, match="groups"):
-            split_dataset([PatchRef(0, 0, 0, 64), PatchRef(1, 0, 0, 64)])
-
-    def test_ratio_validation(self):
-        patches = [PatchRef(t, 0, 0, 64) for t in range(5)]
-        with pytest.raises(ValueError, match="ratios"):
-            split_dataset(patches, ratios=(0.5, 0.5, 0.5))

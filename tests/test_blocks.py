@@ -182,18 +182,12 @@ class TestPSPPooling:
         with pytest.raises(ValueError, match="channels"):
             PSPPooling(3, scales=(1, 2, 4, 8), rng=rng)
 
-    def test_adaptive_clamps_scales(self, rng):
-        psp = PSPPooling(8, scales=(1, 2, 4, 8), adaptive=True,
-                         rng=rng, dtype=np.float64)
+    def test_clamps_scales_to_the_plane(self, rng):
+        psp = PSPPooling(8, scales=(1, 2, 4, 8), rng=rng, dtype=np.float64)
         psp.eval()
-        # 4x4 map cannot host an 8-cell grid; adaptive mode drops it.
+        # 4x4 map cannot host an 8-cell grid; the 8 scale is dropped.
         out = psp(make_input(rng, (1, 8, 4, 4)))
         assert out.shape == (1, 8, 4, 4)
-
-    def test_strict_mode_raises_on_bad_grid(self, rng):
-        psp = PSPPooling(8, scales=(1, 2, 4, 8), rng=rng, dtype=np.float64)
-        with pytest.raises(ShapeError):
-            psp(make_input(rng, (1, 8, 4, 4)))
 
     def test_clamp_scales_helper(self):
         assert clamp_scales((1, 2, 4, 8), 4, 4) == (1, 2, 4)

@@ -344,7 +344,12 @@ class TestOneErrorLineBeforeAnyWrite:
           for command in ("train", "lr-find")
           for name, data in [("empty-train-part", {"split": [0.0, 0.5, 0.5]}),
                              ("2-images-3-way-split", {"n_images": 2}),
-                             ("size-80-for-d6", {"size": 80})]),
+                             ("size-80-for-d6", {"size": 80}),
+                             ("split-string", {"split": "abc"}),
+                             ("split-non-numeric-entry", {"split": [0.5, "a", 0.5]}),
+                             ("split-number", {"split": 5}),
+                             ("split-null", {"split": None}),
+                             ("split-sum-1.5", {"split": [0.5, 0.5, 0.5]})]),
         pytest.param(_run("train", split=[0.5, 0.0, 0.5]), "config", 1,
                      id="train-empty-val-part"),
         pytest.param(_run("train", "--epochs", "0"), "config", 1, id="train-epochs-0"),

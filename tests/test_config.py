@@ -81,6 +81,12 @@ class TestParse:
         with pytest.raises(ValueError, match="loss id"):
             parse_config({"train": {"loss_id": "jaccard"}})
 
+    @pytest.mark.parametrize("split", [[0.5, 0.5, 0.5], [0.5, "a", 0.5], "abc", None])
+    def test_split_checked_before_any_data_is_read(self, split):
+        # the directory is never opened: the split fails at parse time
+        with pytest.raises(ValueError, match="data.split"):
+            parse_config({"data": {"kind": "directory", "path": "missing", "split": split}})
+
 
 class TestLoad:
     def test_round_trip_file(self, tmp_path):
@@ -150,6 +156,10 @@ class TestSnapshot:
         json.dumps(doc)  # must be serializable as-is
         again = parse_config(doc)
         assert again == cfg
+
+    def test_split_values_keep_their_type(self):
+        doc = snapshot(parse_config({"data": {"split": [1, 0, 0]}}))
+        assert json.dumps(doc["data"]["split"]) == "[1, 0, 0]"
 
     def test_snapshot_survives_default_config(self):
         cfg = RunConfig()
