@@ -50,7 +50,7 @@ def _affine_warp(record: SampleRecord, angle_deg: float,
                                  order=1, mode="mirror")
     mask = ndimage.affine_transform(record.mask, matrix, offset=offset,
                                     order=0, mode="mirror")
-    return derive_record(image, mask, record.n_classes, dtype=record.image.dtype)
+    return derive_record(image, mask, record.n_classes)
 
 
 def random_affine(record: SampleRecord, cfg: AugmentConfig,

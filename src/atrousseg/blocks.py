@@ -176,8 +176,12 @@ class UpSampleBlock(Module):
 
     In eval mode the (folded) 1x1 conv runs first, on a quarter of the
     pixels, and its output is upsampled: a 1x1 conv and a per-channel affine
-    act on each pixel alone, so they commute with the upsample.  Train-mode
-    batch statistics do not, so training keeps the upsample first.
+    act on each pixel alone, so they commute with the upsample.  In exact
+    arithmetic train-mode batch norm commutes too (nearest x2 repeats each
+    value 4 times, which leaves the per-channel mean, the population variance
+    and every gradient unchanged), but the rounding of its float32 sums does
+    not.  Training keeps the upsample first so that its trajectory stays the
+    one the tests pin; running the conv first there is a numerics change.
     """
 
     def __init__(self, in_channels: int, filters: int, *,

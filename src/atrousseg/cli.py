@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
 failure.  Failures print exactly one machine-parsable line on stderr:
 ``error kind=<config|data|numeric> msg="..."``.
+
+``main`` owns the mapping: a bad or missing flag is ``config``, any OSError
+is ``data``, and a ValueError or KeyError takes the ``kind`` its command
+declares in ``build_parser``; only a step whose kind differs says so itself.
 """
 
 from __future__ import annotations
@@ -41,34 +45,28 @@ def _reraise(kind: str, *types):
         raise CliError(kind, exc) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliError("config", f"{self.prog}: {message}")
+
+
 def _load_run_config(args):
-    with (_reraise("data", FileNotFoundError),
-          _reraise("config", ValueError, TypeError, KeyError)):
-        cfg = load_config(args.config)
-        return apply_overrides(
-            cfg,
-            seed=getattr(args, "seed", None),
-            epochs=getattr(args, "epochs", None),
-            model=getattr(args, "model", None),
-            head=getattr(args, "head", None),
-            loss=getattr(args, "loss", None),
-            out_dir=getattr(args, "out", None),
-        )
+    flags = {k: getattr(args, k, None) for k in ("seed", "epochs", "model", "head", "loss")}
+    with _reraise("config", TypeError):
+        return apply_overrides(load_config(args.config), out_dir=args.out, **flags)
 
 
 def _checked_records(cfg):
     """(train, val) records: unreadable data is a data error, and a model,
-    data and split that do not fit are a config error."""
-    with _reraise("data", OSError, ValueError):
+    data and split that do not fit are a config error (the commands' kind)."""
+    with _reraise("data", ValueError):
         records = pipeline.build_records(cfg.data)
-    with _reraise("config", ValueError):
-        return pipeline.prepare_records(cfg, records)
+    return pipeline.prepare_records(cfg, records)
 
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    with _reraise("config", ValueError):
-        spec = cfg.data.scene_spec()
+    spec = cfg.data.scene_spec()
     out = fileio.ensure_dir(Path(cfg.out_dir))
     synth.write_dataset(synth.generate(spec), out, spec)
     print(f"wrote {spec.n_images} scenes to {out}")
@@ -78,13 +76,12 @@ def cmd_synth(args) -> int:
 def cmd_derive_labels(args) -> int:
     # one class count for the whole dataset, and every pair checked against
     # it, before --out is created
-    with _reraise("data", OSError, ValueError):
-        pairs = synth.load_dataset(args.data)
-        n_classes = args.classes
-        if n_classes is None:
-            n_classes = max((int(mask.max()) for _, mask in pairs), default=0) + 1
-        for image, mask in pairs:
-            check_sample(image, mask, n_classes)
+    pairs = synth.load_dataset(args.data)
+    n_classes = args.classes
+    if n_classes is None:
+        n_classes = max((int(mask.max()) for _, mask in pairs), default=0) + 1
+    for image, mask in pairs:
+        check_sample(image, mask, n_classes)
     out = fileio.ensure_dir(args.out)
 
     def derive_one(item):
@@ -95,7 +92,7 @@ def cmd_derive_labels(args) -> int:
             fileio.write_nct(f"{stem}.{name}.nct", getattr(rec, name))
         return i
 
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         done = list(pool.map(derive_one, enumerate(pairs)))
     print(f"derived labels for {len(done)} records under {out}")
     return 0
@@ -104,9 +101,7 @@ def cmd_derive_labels(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     train_recs, val_recs = _checked_records(cfg)
-    # ValueError: an empty val part, or an out_dir holding the working directory
-    with _reraise("data", OSError), _reraise("config", ValueError):
-        result = pipeline.run_training(cfg, train_recs, val_recs)
+    result = pipeline.run_training(cfg, train_recs, val_recs)
     if result.halted:
         raise CliError("numeric",
                        f"non-finite loss after epoch {len(result.history)}; "
@@ -127,9 +122,8 @@ def cmd_lr_find(args) -> int:
     def loss_fn(chunk):
         return batch_loss(model, chunk, cfg.train.loss_id)[0]
 
-    with _reraise("config", ValueError):  # --steps or the --lr-lo/--lr-hi range
-        res = lr_finder(loss_fn, model.parameters(), batches, lr_lo=args.lr_lo,
-                        lr_hi=args.lr_hi, steps=args.steps)
+    res = lr_finder(loss_fn, model.parameters(), batches, lr_lo=args.lr_lo,
+                    lr_hi=args.lr_hi, steps=args.steps)
     out = fileio.ensure_dir(Path(cfg.out_dir))
     with open(out / "lr_curve.csv", "w") as fh:
         fh.write("lr,loss,smoothed\n")
@@ -145,10 +139,9 @@ def cmd_lr_find(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    with _reraise("data", OSError, KeyError, ValueError):
-        model = load_checkpoint(args.checkpoint)
-        tile = fileio.read_image(args.image)
-        probs = evaluate.sliding_window_inference(tile, model, window=args.window)
+    model = load_checkpoint(args.checkpoint)
+    tile = fileio.read_image(args.image)
+    probs = evaluate.sliding_window_inference(tile, model, window=args.window)
     if not all(np.isfinite(plane).all() for plane in probs):
         raise CliError("numeric", "non-finite probabilities produced during inference")
     out = fileio.ensure_dir(args.out)
@@ -164,11 +157,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with _reraise("data", OSError, ValueError):
-        pred = fileio.read_pgm(args.pred)
-        ref = fileio.read_pgm(args.ref)
-        cm = evaluate.confusion(pred, ref, ignore=args.ignore)
-        result = evaluate.metrics(cm, exclude=set(args.exclude or []))
+    pred = fileio.read_pgm(args.pred)
+    ref = fileio.read_pgm(args.ref)
+    cm = evaluate.confusion(pred, ref, ignore=args.ignore)
+    result = evaluate.metrics(cm, exclude=set(args.exclude or []))
     out = fileio.ensure_dir(args.out)
     with open(out / "metrics.json", "w") as fh:
         json.dump(result, fh, indent=2)
@@ -179,11 +171,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_loss_field(args) -> int:
-    with _reraise("config", ValueError):
-        gt = tuple(float(v) for v in args.gt.split(","))
-        if len(gt) != 2:
-            raise ValueError("--gt expects two comma-separated values, e.g. 1,0")
-        field = losses.field_sample(args.loss, l=gt, grid_n=args.grid)
+    gt = tuple(float(v) for v in args.gt.split(","))
+    if len(gt) != 2:
+        raise ValueError("--gt expects two comma-separated values, e.g. 1,0")
+    field = losses.field_sample(args.loss, l=gt, grid_n=args.grid)
     out = Path(args.out)
     if out.parent != Path(""):
         fileio.ensure_dir(out.parent)
@@ -193,17 +184,23 @@ def cmd_loss_field(args) -> int:
 
 
 def cmd_param_count(args) -> int:
-    with _reraise("config", ValueError):
-        spec = ModelSpec(depth=args.model, initial_filters=args.filters,
-                         n_classes=args.classes, input_channels=args.channels,
-                         head=args.head)
-        model = build_model(spec, seed=0)
+    spec = ModelSpec(depth=args.model, initial_filters=args.filters,
+                     n_classes=args.classes, input_channels=args.channels,
+                     head=args.head)
+    model = build_model(spec, seed=0)
     print(json.dumps({"depth": spec.depth, "head": spec.head,
                       "initial_filters": spec.initial_filters,
                       "input_channels": spec.input_channels,
                       "n_classes": spec.n_classes,
                       "param_count": param_count(model)}))
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_config_flags(p, with_overrides: bool = True):
@@ -218,40 +215,40 @@ def _add_config_flags(p, with_overrides: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atrousseg",
         description="Multitask semantic segmentation with atrous residual encoders")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     _add_config_flags(p, with_overrides=False)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, kind="config")
 
     p = sub.add_parser("derive-labels", help="derive target channels for a dataset")
     p.add_argument("--data", required=True, help="dataset directory (manifest.json)")
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int,
                    help="class count (default: the largest class id in any mask, plus one)")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_derive_labels)
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.set_defaults(func=cmd_derive_labels, kind="data")
 
     p = sub.add_parser("train", help="train a model per config")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, kind="config")
 
     p = sub.add_parser("lr-find", help="learning-rate range sweep")
     _add_config_flags(p)
     p.add_argument("--lr-lo", type=float, default=1e-6)
     p.add_argument("--lr-hi", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
-    p.set_defaults(func=cmd_lr_find)
+    p.set_defaults(func=cmd_lr_find, kind="config")
 
     p = sub.add_parser("infer", help="sliding-window inference over a tile")
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
     p.add_argument("--image", required=True, help="input tile (.ppm or .nct)")
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=256)
-    p.set_defaults(func=cmd_infer)
+    p.set_defaults(func=cmd_infer, kind="data")
 
     p = sub.add_parser("eval", help="metrics between predicted and reference masks")
     p.add_argument("--pred", required=True)
@@ -260,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", type=int, nargs="*",
                    help="class ids excluded from avg_F1")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, kind="data")
 
     p = sub.add_parser("loss-field", help="sample a loss surface on [0,1]^2")
     p.add_argument("--loss", required=True, choices=losses.LOSS_IDS)
     p.add_argument("--gt", default="1,0", help="ground-truth pair in [0, 1], e.g. 1,0")
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--out", required=True, help="CSV path")
-    p.set_defaults(func=cmd_loss_field)
+    p.set_defaults(func=cmd_loss_field, kind="config")
 
     p = sub.add_parser("param-count", help="parameter count for a model spec")
     p.add_argument("--model", default="d6", choices=DEPTHS)
@@ -275,15 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filters", type=int, default=32)
     p.add_argument("--classes", type=int, default=6)
     p.add_argument("--channels", type=int, default=3)
-    p.set_defaults(func=cmd_param_count)
+    p.set_defaults(func=cmd_param_count, kind="config")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        with _reraise("data", OSError), _reraise(args.kind, ValueError, KeyError):
+            return args.func(args)
     except CliError as exc:
         msg = str(exc).replace('"', "'").replace("\n", " ")
         print(f'error kind={exc.kind} msg="{msg}"', file=sys.stderr)

@@ -71,6 +71,13 @@ _SECTION_TYPES = {"model": ModelSpec, "train": TrainConfig,
 _NOT_IN_FILE = {"train": {"augment"}}
 
 
+def _check_ints(name: str, values) -> None:
+    """Integer fields take JSON integers as they are: no float, no bool."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _build_section(cls, payload: dict, section: str):
     if not isinstance(payload, dict):
         raise ValueError(f"config section '{section}' must be an object")
@@ -84,7 +91,10 @@ def _build_section(cls, payload: dict, section: str):
         if isinstance(value, list):  # no field takes a list
             value = tuple(value)
         if key == "max_extent" and isinstance(value, dict):
-            value = {int(k): int(v) for k, v in value.items()}
+            _check_ints(f"{section}.{key} values", value.values())
+            value = {int(k): v for k, v in value.items()}
+        if cls.__dataclass_fields__[key].type in ("int", int):
+            _check_ints(f"{section}.{key}", [value])
         kwargs[key] = value
     return cls(**kwargs)
 

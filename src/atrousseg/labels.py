@@ -20,7 +20,7 @@ import numpy as np
 class SampleRecord:
     """One training sample with every derived target, channels-first."""
 
-    image: np.ndarray     # (C, H, W) float in [0, 1]
+    image: np.ndarray     # (C, H, W) float32 in [0, 1]
     mask: np.ndarray      # (H, W) int class indices
     onehot: np.ndarray    # (K, H, W)
     boundary: np.ndarray  # (K, H, W) in {0, 1}
@@ -51,9 +51,9 @@ def _class_planes(m: np.ndarray, n_classes: int) -> np.ndarray:
     return m == np.arange(n_classes)[:, None, None]
 
 
-def one_hot(mask, n_classes: int, dtype=np.float32) -> np.ndarray:
-    """Expand an integer mask (H, W) to exact one-hot planes (K, H, W)."""
-    return _class_planes(_check_mask(mask, n_classes), n_classes).astype(dtype)
+def one_hot(mask, n_classes: int) -> np.ndarray:
+    """Expand an integer mask (H, W) to exact float32 one-hot planes (K, H, W)."""
+    return _class_planes(_check_mask(mask, n_classes), n_classes).astype(np.float32)
 
 
 def _plane(binary) -> np.ndarray:
@@ -175,21 +175,21 @@ def check_sample(image, mask, n_classes: int) -> None:
     _check_mask(mask, n_classes)
 
 
-def derive_record(image, mask, n_classes: int, dtype=np.float32) -> SampleRecord:
-    """Build a SampleRecord: one-hot plus per-class boundary/distance and HSV.
+def derive_record(image, mask, n_classes: int) -> SampleRecord:
+    """Build a float32 SampleRecord: one-hot plus per-class boundary/distance and HSV.
 
     The HSV target comes from the first three image channels, so extra input
     channels (e.g. elevation) ride along untouched.
     """
-    img = np.asarray(image, dtype=dtype)
+    img = np.asarray(image, dtype=np.float32)
     m = np.asarray(mask)
     check_sample(img, m, n_classes)
     planes = _class_planes(m, n_classes)
-    oh = planes.astype(dtype)
+    oh = planes.astype(np.float32)
     boundary, distance = np.empty_like(oh), np.empty_like(oh)
     for k, plane in enumerate(planes):
         boundary[k] = get_boundary(plane)
         distance[k] = get_distance(plane)
-    hsv = rgb_to_hsv(img[:3]).astype(dtype)
+    hsv = rgb_to_hsv(img[:3]).astype(np.float32)
     return SampleRecord(image=img, mask=m, onehot=oh,
                         boundary=boundary, distance=distance, hsv=hsv)

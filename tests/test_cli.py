@@ -1,6 +1,7 @@
 """Command-line surface: happy paths, artifacts on disk, exit codes, and the
 one-line error protocol on stderr."""
 
+import argparse
 import dataclasses
 import json
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from atrousseg import fileio, pipeline
-from atrousseg.cli import main
+from atrousseg.cli import build_parser, main
 from atrousseg.config import load_config
 from atrousseg.labels import derive_record
 from atrousseg.models import param_count, build_model, ModelSpec, save_checkpoint
@@ -334,6 +335,53 @@ def _loss_field_gt(gt):
                              "--out", str(tmp_path / "run" / "f.csv")]
 
 
+def _out_is_a_file(make_argv, out="taken"):
+    """``make_argv``'s argv with ``--out`` at or under ``taken``, an existing file."""
+    def make(tmp_path):
+        (tmp_path / "taken").write_text("")
+        return [*make_argv(tmp_path), "--out", str(tmp_path / out)]
+    return make
+
+
+def _synth_dataset(tmp_path):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--config", str(write_config(tmp_path, out_dir=str(ds)))]) == 0
+    return ds
+
+
+def _infer_inputs(tmp_path):
+    save_checkpoint(build_model(ModelSpec(depth="d6", initial_filters=4, n_classes=3)),
+                    tmp_path / "ck")
+    fileio.write_ppm(tmp_path / "t.ppm", np.zeros((32, 32, 3), np.uint8))
+    return ["infer", "--checkpoint", str(tmp_path / "ck"), "--image", str(tmp_path / "t.ppm"),
+            "--window", "32"]
+
+
+def _eval_inputs(tmp_path):
+    for name in ("pred", "ref"):
+        fileio.write_pgm(tmp_path / f"{name}.pgm", np.eye(4, dtype=np.uint8))
+    return ["eval", "--pred", str(tmp_path / "pred.pgm"), "--ref", str(tmp_path / "ref.pgm")]
+
+
+def _eval_metrics_json_is_a_directory(tmp_path):
+    (tmp_path / "o" / "metrics.json").mkdir(parents=True)
+    return [*_eval_inputs(tmp_path), "--out", str(tmp_path / "o")]
+
+
+def _derive_workers(n):
+    return lambda tmp_path: ["derive-labels", "--data", str(_synth_dataset(tmp_path)),
+                             "--out", str(tmp_path / "run"), "--workers", str(n)]
+
+
+# JSON values that an integer config field refuses, by section and field
+_NOT_INTEGERS = [("data", "size", 64.0), ("data", "size", 6.5), ("data", "n_images", 4.0),
+                 ("data", "seed", 1.0), ("data", "shapes_per_class", 3.0),
+                 ("data", "max_extent", {"2": 2.5}), ("train", "micro_batch", 2.0),
+                 ("train", "max_epochs", 1.5), ("train", "seed", 2.0),
+                 ("train", "seed", True), ("train", "aggregate_steps", 1.0),
+                 ("train", "plateau_patience", "a"), ("model", "initial_filters", 4.0)]
+
+
 class TestOneErrorLineBeforeAnyWrite:
     """Bad data, a model/data/split mismatch or a bad flag: one protocol line,
     the exit code of its kind, no traceback; train and lr-find write nothing."""
@@ -378,6 +426,26 @@ class TestOneErrorLineBeforeAnyWrite:
         pytest.param(_loss_field_gt("nan,0"), "config", 1, id="loss-field-gt-nan"),
         pytest.param(_loss_field_gt("2,-1"), "config", 1, id="loss-field-gt-outside"),
         pytest.param(_derive_below_largest_class, "data", 2, id="derive-labels-classes-2"),
+        *(pytest.param(_run(command, section=section, **{key: value}), "config", 1,
+                       id=f"{command}-{section}.{key}-{value!r}")
+          for command in ("train", "lr-find") for section, key, value in _NOT_INTEGERS),
+        *(pytest.param(_derive_workers(n), "config", 1, id=f"derive-labels-workers-{n}")
+          for n in (0, -3)),
+        # --out at an existing file, or (loss-field) under one
+        *(pytest.param(_out_is_a_file(_run(command)), "data", 2, id=f"{command}-out-is-a-file")
+          for command in ("synth", "train")),
+        pytest.param(_out_is_a_file(_run("lr-find", "--steps", "3")), "data", 2,
+                     id="lr-find-out-is-a-file"),
+        pytest.param(_out_is_a_file(lambda tmp_path: ["derive-labels", "--data",
+                                                      str(_synth_dataset(tmp_path))]),
+                     "data", 2, id="derive-labels-out-is-a-file"),
+        pytest.param(_out_is_a_file(_infer_inputs), "data", 2, id="infer-out-is-a-file"),
+        pytest.param(_out_is_a_file(_eval_inputs), "data", 2, id="eval-out-is-a-file"),
+        pytest.param(_out_is_a_file(lambda tmp_path: ["loss-field", "--loss", "d1"],
+                                    out="taken/f.csv"),
+                     "data", 2, id="loss-field-out-under-a-file"),
+        pytest.param(_eval_metrics_json_is_a_directory, "data", 2,
+                     id="eval-metrics-json-is-a-directory"),
     ])
     def test_one_error_line(self, tmp_path, capsys, make_argv, kind, code):
         argv = make_argv(tmp_path)
@@ -392,6 +460,37 @@ class TestOneErrorLineBeforeAnyWrite:
     def test_loss_field_bad_gt_writes_nothing(self, tmp_path, gt):
         assert main(_loss_field_gt(gt)(tmp_path)) == 1
         assert not (tmp_path / "run").exists()
+
+
+class TestFlagErrors:
+    """A bad or missing flag, or no command, is one config line with exit 1,
+    not argparse's usage block and exit 2; --help still exits 0."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["train", "--config", "c.json", "--model", "d9"], id="train-model-d9"),
+        pytest.param(["infer", "--checkpoint", "ck", "--image", "t.ppm", "--out", "o",
+                      "--window", "abc"], id="infer-window-abc"),
+        pytest.param(["eval", "--pred", "p.pgm", "--ref", "r.pgm"], id="eval-without-out"),
+        pytest.param(["segment"], id="unknown-command"),
+        pytest.param([], id="no-command"),
+    ])
+    def test_one_config_line(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error kind=config msg="atrousseg'), err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0 and "--config" in capsys.readouterr().out
+
+    def test_every_command_declares_its_kind(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sub.choices
+        for name, parser in sub.choices.items():
+            assert callable(parser.get_default("func")), name
+            assert parser.get_default("kind") in ("config", "data"), name
 
 
 class TestPrepareRecords:
