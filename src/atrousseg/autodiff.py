@@ -89,9 +89,14 @@ class Node:
 
     # -- gradient plumbing ---------------------------------------------
     def zero_grad(self) -> None:
-        """Reset the gradient buffer to exact zeros."""
+        """Reset the gradient to exact zeros.  A leaf whose gradient has its
+        value's shape and dtype is zeroed in place, so a packed parameter
+        keeps its view into the arena; any other gradient is replaced."""
         if self.requires_grad:
-            self.grad = np.zeros_like(self.value)
+            if self._backward is None and _fits(self.grad, self.value):
+                self.grad.fill(0)
+            else:
+                self.grad = np.zeros_like(self.value)
 
     def backward(self) -> None:
         """Backpropagate from a scalar node through the recorded graph.
@@ -187,14 +192,95 @@ def parameter(value, dtype=None) -> Node:
     return Node(np.array(value, dtype=dtype), requires_grad=True)
 
 
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def view_like(flat: np.ndarray, view: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The view of ``flat`` that lies in it as ``view`` lies in ``base``."""
+    return np.ndarray(view.shape, flat.dtype, flat, _address(view) - _address(base),
+                      view.strides)
+
+
+def _packed(group: list[Node]) -> bool:
+    """Whether ``group`` fills one earlier pack's value and gradient arrays."""
+    values, grads = group[0].value.base, getattr(group[0].grad, "base", None)
+    return (values is not None and grads is not None and values.ndim == 1
+            and values.size == grads.size == sum(p.size for p in group)
+            and all(p.value.base is values and p.grad is not None
+                    and p.grad.base is grads for p in group))
+
+
+def pack_parameters(params) -> list[tuple[np.ndarray, np.ndarray, list[Node]]]:
+    """Lay ``params`` out in one flat value array and one flat gradient
+    array per dtype, the parameter arena; return (values, grads, members)
+    per dtype, members in ``params`` order.
+
+    Each ``p.value`` and ``p.grad`` is rebound to a view of its dtype's
+    arrays with the parameter's own memory layout, and the value is copied
+    in.  The gradient array comes from ``np.zeros``; a gradient is copied in
+    only when it holds a non-zero, so fresh parameters leave its pages
+    untouched.  A gradient whose shape drifted from its parameter's stays
+    bound, for ``Adam.step`` to reject.  The pack is idempotent: a dtype
+    whose parameters already fill one earlier pack's arrays copies nothing
+    and keeps them.  Elementwise work (``Adam.step``) can then run over a
+    few long arrays instead of one short array per parameter.
+    """
+    params = list(params)
+    if len({id(p) for p in params}) != len(params):
+        raise ValueError("pack_parameters: a parameter is listed twice")
+    groups: dict[np.dtype, list[Node]] = {}
+    for p in params:
+        groups.setdefault(p.value.dtype, []).append(p)
+    arenas = []
+    for dtype, group in groups.items():
+        if _packed(group):
+            arenas.append((group[0].value.base, group[0].grad.base, group))
+            continue
+        size = sum(p.size for p in group)
+        values, grads = np.empty(size, dtype), np.zeros(size, dtype)
+        lo = 0
+        for p in group:
+            # empty_like keeps p.value's axis order as one dense block, so a
+            # tap-major conv weight stays tap-major
+            at = (lo * dtype.itemsize, np.empty_like(p.value).strides)
+            view = np.ndarray(p.shape, dtype, values, *at)
+            view[...] = p.value
+            grad, p.value = p.grad, view
+            if grad is None or grad.shape == view.shape:
+                p.grad = np.ndarray(p.shape, dtype, grads, *at)
+                if grad is not None and grad.any():
+                    p.grad[...] = grad
+            lo += p.size
+        arenas.append((values, grads, group))
+    return arenas
+
+
 def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(np.asarray(x))
 
 
+def _fits(a, like) -> bool:
+    return a is not None and a.shape == like.shape and a.dtype == like.dtype
+
+
 def accumulate(node: Node, grad: np.ndarray) -> None:
-    """Add a gradient contribution to ``node`` (no-op for constants)."""
-    if node.requires_grad:
-        node.grad = grad if node.grad is None else node.grad + grad
+    """Add a gradient contribution to ``node`` (no-op for constants).
+
+    A leaf adds into its own gradient buffer in place when ``grad`` has that
+    buffer's shape and dtype (a packed parameter's buffer is a view into the
+    arena, which stays bound).  Otherwise the gradient is rebound to the sum,
+    which broadcasts and upcasts; an op result takes its first contribution
+    as it is and rebinds on the next.  A leaf never keeps ``grad`` itself,
+    which ``add`` hands to every parent."""
+    if not node.requires_grad:
+        return
+    if node.grad is None:
+        node.grad = grad if node._backward is not None else np.array(grad)
+    elif node._backward is None and _fits(grad, node.grad):
+        node.grad += grad
+    else:
+        node.grad = node.grad + grad
 
 
 def make_node(value: np.ndarray, parents: Iterable[Node], backward) -> Node:

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluate, fileio, losses, pipeline, synth
+from . import evaluate, fileio, losses, pipeline, synth, trainer
 from .config import apply_overrides, load_config
 from .labels import check_sample, derive_record
 from .models import DEPTHS, HEADS, ModelSpec, build_model, load_checkpoint, param_count
-from .trainer import batch_loss, lr_finder, micro_batches
+from .trainer import batch_loss, micro_batches
 
 
 class CliError(Exception):
@@ -54,6 +54,18 @@ def _load_run_config(args):
     flags = {k: getattr(args, k, None) for k in ("seed", "epochs", "model", "head", "loss")}
     with _reraise("config", TypeError):
         return apply_overrides(load_config(args.config), out_dir=args.out, **flags)
+
+
+def _check_out(path) -> None:
+    """Refuse an output directory that cannot be made because it, or the
+    nearest of its parents that exists, is not a directory.  It only stats,
+    so a command that checks before its compute and fails later on its data
+    leaves no empty directory behind."""
+    path = Path(path).absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(f"{path} exists and is not a directory")
 
 
 def _checked_records(cfg):
@@ -115,6 +127,7 @@ def cmd_train(args) -> int:
 
 def cmd_lr_find(args) -> int:
     cfg = _load_run_config(args)
+    _check_out(cfg.out_dir)
     train_recs, _ = _checked_records(cfg)
     model = build_model(cfg.model, seed=cfg.train.seed)
     batches = micro_batches(train_recs, cfg.train.micro_batch)
@@ -122,8 +135,8 @@ def cmd_lr_find(args) -> int:
     def loss_fn(chunk):
         return batch_loss(model, chunk, cfg.train.loss_id)[0]
 
-    res = lr_finder(loss_fn, model.parameters(), batches, lr_lo=args.lr_lo,
-                    lr_hi=args.lr_hi, steps=args.steps)
+    res = trainer.lr_finder(loss_fn, model.parameters(), batches, lr_lo=args.lr_lo,
+                            lr_hi=args.lr_hi, steps=args.steps)
     out = fileio.ensure_dir(Path(cfg.out_dir))
     with open(out / "lr_curve.csv", "w") as fh:
         fh.write("lr,loss,smoothed\n")
@@ -139,6 +152,7 @@ def cmd_lr_find(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    _check_out(args.out)
     model = load_checkpoint(args.checkpoint)
     tile = fileio.read_image(args.image)
     probs = evaluate.sliding_window_inference(tile, model, window=args.window)

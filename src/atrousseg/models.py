@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, nnops
-from .autodiff import Node, ShapeError, as_node
+from .autodiff import Node, ShapeError, as_node, pack_parameters
 from .blocks import BlockConfig, Combine, Conv2DN, PSPPooling, ResBlockA, UpSampleBlock
 from .modules import Conv2d, Module, ModuleList
 
@@ -229,7 +229,9 @@ _HEAD_CLASSES = {"single": _SingleHead, "mtsk": _MtskHead, "cmtsk": _CmtskHead}
 class SegmentationModel(Module):
     """Trunk plus head for ``spec``, initialised from ``seed``.  Dtype policy:
     every parameter and buffer is float32; only the building blocks take a
-    ``dtype``, so tests can build float64 blocks for gradient checks."""
+    ``dtype``, so tests can build float64 blocks for gradient checks.  The
+    parameters are packed into one arena (``pack_parameters``) once, when
+    they are built, so every ``Adam`` over them copies nothing."""
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         super().__init__()
@@ -238,6 +240,7 @@ class SegmentationModel(Module):
         self.trunk = _Trunk(spec, rng)
         self.head = _HEAD_CLASSES[spec.head](
             spec.initial_filters, spec.n_classes, rng)
+        pack_parameters(self.parameters())
 
     def forward(self, x) -> MultiHeadOutput:
         x = as_node(x)

@@ -9,6 +9,9 @@ kernel tap reads one contiguous window.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from .autodiff import Node, ShapeError, accumulate, as_node, make_node
@@ -93,42 +96,16 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     flat output and runs the two pieces in turn on the calling thread.  The
     cut depends only on the shapes, so the bits do not depend on the CPU
     count; conv2d starts no thread, and BLAS runs as the caller set it.
+
+    Everything above that follows from the shapes (the checks, the live
+    taps, the gap, the windows and the pieces) is one cached ``_plan`` per
+    (input shape, weight shape, stride, dilation, dtypes); a call gathers its
+    tap weights and runs the planned GEMMs.
     """
     x, w = as_node(x), as_node(w)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input/weight, got {x.shape} and {w.shape}")
-    n, cin = x.shape[:2]
-    cout, wcin, k, kw = w.shape
-    if k != kw or k % 2 == 0:
-        raise ShapeError(f"conv2d kernels must be square with an odd size, got {w.shape}")
-    if cin != wcin:
-        raise ShapeError(
-            f"conv2d channel mismatch: input has {cin} channels (shape {x.shape}) "
-            f"but weight expects {wcin} (shape {w.shape})")
-    if stride not in (1, 2):
-        raise ValueError(f"conv2d stride must be 1 or 2, got {stride}")
-    if dilation < 1:
-        raise ValueError(f"conv2d dilation must be >= 1, got {dilation}")
-
-    # stride 2 subsamples a 1x1 kernel's input and a wider kernel's output
-    pre = stride if k == 1 else 1
-    step = stride // pre
+    plan = _plan(x.shape, w.shape, stride, dilation, x.dtype, w.dtype)
+    n, gap, h, wd, p, pre, step = plan.n, plan.gap, plan.h, plan.wd, plan.p, plan.pre, plan.step
     xs = x.value[:, :, ::pre, ::pre]
-    h, wd = xs.shape[2:]
-    # (index, offset) of each tap along an axis, smallest offset first: the
-    # centre tap covers every output pixel.  A tap is live when some output
-    # pixel reads inside the plane through it.
-    axis = sorted(((i, (i - k // 2) * dilation) for i in range(k)), key=lambda t: abs(t[1]))
-    rows = [t for t in axis if abs(t[1]) < h]
-    cols = [t for t in axis if abs(t[1]) < wd]
-    gap = abs(cols[-1][1])
-    p = wd + gap
-    # (i, j, contiguous (cout, cin) weights, output start, input start,
-    # length) of every live tap's window on the flat rows; the weights are a
-    # view, not a copy, when w is tap-major as Conv2d builds it
-    taps = [(i, j, np.ascontiguousarray(w.value[:, :, i, j]), gap + max(0, -di) * p,
-             gap + max(0, di) * p + dj, (h - abs(di)) * p - gap)
-            for i, di in rows for j, dj in cols]
 
     def crop(a, step):
         """The (n, c, h, wd) pixels of flat rows a, every step-th one."""
@@ -139,12 +116,15 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
         (a itself, reshaped, when there are no zeros to add)."""
         if not gap and step == 1:
             return a.reshape(n, -1, h * wd)
-        f = np.zeros((n, a.shape[1], gap + h * p), a.dtype)
+        f = np.zeros((n, a.shape[1], plan.cols), a.dtype)
         crop(f, step)[...] = a
         return f
 
-    acc = np.empty((n, cout, gap + h * p), np.result_type(xs, w.value))
-    _tap_gemms(acc, [(m, o, a, size) for _, _, m, o, a, size in taps], flat(xs, 1))
+    # each live tap's contiguous (cout, cin) weights: a view, not a copy,
+    # when w is tap-major as Conv2d builds it
+    mats = [np.ascontiguousarray(w.value[:, :, i, j]) for i, j, *_ in plan.taps]
+    acc = np.empty((n, plan.cout, plan.cols), plan.dtype)
+    _tap_gemms(acc, plan.forward, mats, flat(xs, 1))
     out = np.ascontiguousarray(crop(acc, step))
     if b is not None:
         b = as_node(b)
@@ -153,13 +133,13 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     def backward(g):
         gp = flat(g, step)
         if w.requires_grad:
-            accumulate(w, _tap_weight_grad(w.value, taps, gp, flat(xs, 1)))
+            accumulate(w, _tap_weight_grad(w.value, plan.taps, gp, flat(xs, 1)))
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             # x's dtype, even when g is wider
-            gxp = np.empty((n, cin, gap + h * p), x.dtype)
-            _tap_gemms(gxp, [(m.T, a, o, size) for _, _, m, o, a, size in taps], gp)
+            gxp = np.empty((n, plan.cin, plan.cols), x.dtype)
+            _tap_gemms(gxp, plan.backward, [m.T for m in mats], gp)
             gx = np.ascontiguousarray(crop(gxp, 1))
             if pre > 1:
                 gx, strided = np.zeros_like(x.value), gx
@@ -170,40 +150,114 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     return make_node(out, parents, backward)
 
 
+class _ConvPlan(NamedTuple):
+    """What conv2d derives from the shapes of one call; see ``_plan``."""
+    n: int
+    cin: int
+    cout: int
+    pre: int        # input subsampling (stride of a 1x1 kernel)
+    step: int       # output subsampling (stride of a wider kernel)
+    h: int          # subsampled input plane
+    wd: int
+    gap: int
+    p: int          # flat row pitch, wd + gap
+    cols: int       # flat plane length, gap + h * p
+    dtype: np.dtype     # the forward accumulator's
+    taps: tuple     # (i, j, output start, input start, length) per live tap
+    forward: tuple  # _tap_gemms pieces of the forward and the input gradient
+    backward: tuple
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(x_shape, w_shape, stride, dilation, x_dtype, w_dtype) -> _ConvPlan:
+    """conv2d's checks and shape arithmetic for one key, computed once.
+
+    The live taps come sorted by offset size per axis, the centre tap
+    first: it covers every output pixel, so its window is the longest.
+    ``forward`` and ``backward`` are ``_pieces`` of the tap windows from
+    input to output and back."""
+    if len(x_shape) != 4 or len(w_shape) != 4:
+        raise ShapeError(f"conv2d expects 4-D input/weight, got {x_shape} and {w_shape}")
+    n, cin = x_shape[:2]
+    cout, wcin, k, kw = w_shape
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d kernels must be square with an odd size, got {w_shape}")
+    if cin != wcin:
+        raise ShapeError(
+            f"conv2d channel mismatch: input has {cin} channels (shape {x_shape}) "
+            f"but weight expects {wcin} (shape {w_shape})")
+    if stride not in (1, 2):
+        raise ValueError(f"conv2d stride must be 1 or 2, got {stride}")
+    if dilation < 1:
+        raise ValueError(f"conv2d dilation must be >= 1, got {dilation}")
+
+    # stride 2 subsamples a 1x1 kernel's input and a wider kernel's output
+    pre = stride if k == 1 else 1
+    h, wd = (-(-size // pre) for size in x_shape[2:])
+    # (index, offset) of each tap along an axis, smallest offset first.  A
+    # tap is live when some output pixel reads inside the plane through it.
+    axis = sorted(((i, (i - k // 2) * dilation) for i in range(k)), key=lambda t: abs(t[1]))
+    rows = [t for t in axis if abs(t[1]) < h]
+    cols = [t for t in axis if abs(t[1]) < wd]
+    gap = abs(cols[-1][1])
+    p = wd + gap
+    taps = tuple((i, j, gap + max(0, -di) * p, gap + max(0, di) * p + dj,
+                  (h - abs(di)) * p - gap)
+                 for i, di in rows for j, dj in cols)
+    length = gap + h * p
+    windows = [(t, d, s, size) for t, (*_, d, s, size) in enumerate(taps)]
+    return _ConvPlan(
+        n, cin, cout, pre, stride // pre, h, wd, gap, p, length,
+        np.result_type(x_dtype, w_dtype), taps,
+        _pieces(n, cout, length, cout * cin, windows),
+        _pieces(n, cin, length, cout * cin, [(t, s, d, size) for t, d, s, size in windows]))
+
+
+def _pieces(n, c, cols, mat_size, windows) -> tuple:
+    """The pieces of a _tap_gemms call into an (n, c, cols) destination from
+    the tap windows (tap, destination start, source start, length), the
+    longest first, each tap's matrix holding mat_size weights: a scratch
+    length and ((lo, hi, windows clipped to [lo, hi)) per piece).
+
+    A call of at least _SPLIT_MACS multiply-adds runs as two pieces, the
+    flat columns before and from the 64-aligned column nearest the middle
+    (when that lies inside the first window)."""
+    _, d, _, size = windows[0]
+    cut = (cols + 64) // 128 * 64
+    macs = n * mat_size * sum(length for *_, length in windows)
+    split = macs >= _SPLIT_MACS and d < cut < d + size
+    bounds = ((0, cut), (cut, cols)) if split else ((0, cols),)
+    scratch = n * c * size if len(windows) > 1 else 0
+    return scratch, tuple(
+        (lo, hi, tuple((t, a - lo, s + a - start, b - a) for t, start, s, length in windows
+                       if (a := max(start, lo)) < (b := min(start + length, hi))))
+        for lo, hi in bounds)
+
+
 def _tap_weight_grad(w, taps, g, src) -> np.ndarray:
     """Weight gradient in w's shape (cout, cin, k, k) and memory layout: for
-    each of conv2d's taps (i, j, _, d, s, L), the sum over images of
+    each of conv2d's taps (i, j, d, s, L), the sum over images of
     g[:, :, d:d+L] @ src[:, :, s:s+L].T."""
     gw = np.zeros_like(w, np.result_type(g, src))
-    for i, j, _, d, s, size in taps:
+    for i, j, d, s, size in taps:
         gw[:, :, i, j] = np.matmul(g[:, :, d:d + size],
                                    src[:, :, s:s + size].transpose(0, 2, 1)).sum(axis=0)
     return gw
 
 
-def _tap_gemms(dst, windows, src) -> None:
-    """Set dst to the sum over windows (m, d, s, L) of m @ src[:, :, s:s+L],
-    per image, added into dst[:, :, d:d+L]; dst is zero outside them.  The
-    first product is written into dst in place, the others through one
-    reused buffer.
-
-    A call of at least _SPLIT_MACS multiply-adds runs as two pieces in turn,
-    the flat output columns before and from the 64-aligned column nearest
-    the middle (when that lies inside the first window), each summing its
-    part of every window in the order above.  A GEMM cut in two can round
-    differently from the whole one; the cut depends on the shapes alone."""
-    n, c, cols = dst.shape
-    m, d, _, size = windows[0]
-    cut = (cols + 64) // 128 * 64
-    macs = n * sum(m.size * length for m, _, _, length in windows)
-    split = macs >= _SPLIT_MACS and d < cut < d + size
-    pieces = ((0, cut), (cut, cols)) if split else ((0, cols),)
-    # the longest window is first
-    buf = np.empty(n * c * size, np.result_type(m, src)) if len(windows) > 1 else None
-    for lo, hi in pieces:
-        part = [(m, a - lo, s + a - start, b - a) for m, start, s, length in windows
-                if (a := max(start, lo)) < (b := min(start + length, hi))]
-        _sum_windows(dst[:, :, lo:hi], part, src, buf)
+def _tap_gemms(dst, pieces, mats, src) -> None:
+    """Set dst to the sum over the planned windows (t, d, s, L) of
+    mats[t] @ src[:, :, s:s+L], per image, added into dst[:, :, d:d+L]; dst
+    is zero outside them.  ``pieces`` is a ``_pieces`` plan: each piece
+    sums its part of every window in turn, the first product written into
+    dst in place and the others through one reused scratch buffer.  A GEMM
+    cut in two can round differently from the whole one; the cut depends on
+    the shapes alone."""
+    scratch, parts = pieces
+    buf = np.empty(scratch, np.result_type(mats[0], src)) if scratch else None
+    for lo, hi, part in parts:
+        _sum_windows(dst[:, :, lo:hi], [(mats[t], d, s, size) for t, d, s, size in part],
+                     src, buf)
 
 
 def _sum_windows(dst, windows, src, buf) -> None:

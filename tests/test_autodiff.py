@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atrousseg.autodiff import (Node, ShapeError, add, as_node, div,
-                                is_grad_enabled, mul, no_grad, parameter)
+                                is_grad_enabled, mul, no_grad, pack_parameters,
+                                parameter)
 from conftest import numeric_gradient, rel_err
 
 TOL = 1e-7
@@ -179,6 +180,83 @@ class TestConstantOperands:
         assert c.grad is None
         assert np.array_equal(p.grad, grad(t, p0, c0).sum(axis=0))
         assert p.grad.dtype == np.float64
+
+
+class TestLeafGradients:
+    """A leaf adds into its own gradient buffer; nothing else holds it."""
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_add_parents_never_share_a_buffer(self, rng, fresh):
+        a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
+        if not fresh:  # no buffer yet: the first contribution must be copied
+            a.grad = b.grad = None
+        t = rng.normal(size=(2, 3))
+        for _ in range(2):
+            (add(a, b) * t).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, t + t) and np.array_equal(b.grad, t + t)
+
+    def test_accumulates_in_place(self, rng):
+        x = parameter(rng.normal(size=(4,)).astype(np.float32))
+        buf = x.grad
+        (x * np.float32(2.0)).sum().backward()
+        (x * np.float32(3.0)).sum().backward()
+        assert x.grad is buf and np.array_equal(buf, np.full(4, 5.0, np.float32))
+        x.zero_grad()
+        assert x.grad is buf and not buf.any()
+
+
+class TestPack:
+    """pack_parameters: one value and one gradient array per dtype."""
+
+    @staticmethod
+    def leaves(rng):
+        taps = np.ascontiguousarray(rng.normal(size=(3, 3, 2, 5)).astype(np.float32))
+        return [parameter(taps.transpose(2, 3, 0, 1)), parameter(rng.normal(size=4)),
+                parameter(rng.normal(size=(3, 2)).astype(np.float32)), parameter(1.5)]
+
+    def test_views_keep_values_and_layout(self, rng):
+        params = self.leaves(rng)
+        before = [(p.value.copy(order="K"), p.value.strides) for p in params]
+        arenas = pack_parameters(params)
+        assert [(values.dtype, len(group)) for values, _, group in arenas] == [
+            (np.float32, 2), (np.float64, 2)]
+        for values, grads, group in arenas:
+            assert values.size == grads.size == sum(p.size for p in group)
+            assert all(p.value.base is values and p.grad.base is grads for p in group)
+        for p, (value, strides) in zip(params, before):
+            assert np.array_equal(p.value, value) and p.value.strides == strides
+            assert p.grad.strides == strides and not p.grad.any()
+
+    def test_packing_twice_copies_nothing(self, rng):
+        params = self.leaves(rng)
+        pack_parameters(params)
+        views = [(p.value, p.grad, p.value.base, p.grad.base) for p in params]
+        pack_parameters(params)
+        pack_parameters(params[::-1])
+        for p, (value, grad, values, grads) in zip(params, views):
+            assert p.value is value and p.grad is grad
+            assert p.value.base is values and p.grad.base is grads
+
+    def test_a_subset_is_packed_anew(self, rng):
+        params = self.leaves(rng)
+        pack_parameters(params)
+        old = params[0].value.base
+        pack_parameters(params[:1])
+        assert params[0].value.base is not old and params[0].value.base.size == 90
+
+    def test_gradients_survive_and_drift_stays_bound(self, rng):
+        params = self.leaves(rng)
+        params[1].grad[...] = 2.0
+        drifted = params[2].grad = np.ones(5, np.float32)
+        pack_parameters(params)
+        assert np.array_equal(params[1].grad, np.full(4, 2.0))
+        assert params[2].grad is drifted
+
+    def test_listed_twice_rejected(self, rng):
+        x = parameter(np.ones(3))
+        with pytest.raises(ValueError, match="twice"):
+            pack_parameters([x, x])
 
 
 class TestNaryAdd:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from atrousseg import fileio, pipeline
+from atrousseg import evaluate, fileio, pipeline, trainer
 from atrousseg.cli import build_parser, main
 from atrousseg.config import load_config
 from atrousseg.labels import derive_record
@@ -455,6 +455,31 @@ class TestOneErrorLineBeforeAnyWrite:
         assert len(err) == 1 and err[0].startswith(f'error kind={kind} msg="'), err
         if argv[0] in ("train", "lr-find"):
             assert not (tmp_path / "run").exists()
+
+    # (module, function) pairs that hold each command's compute
+    _INFER = [(evaluate, "sliding_window_inference")]
+    _LR_FIND = [(pipeline, "build_records"), (trainer, "lr_finder")]
+
+    @pytest.mark.parametrize("make_argv, computes", [
+        pytest.param(_out_is_a_file(_infer_inputs), _INFER, id="infer-out-is-a-file"),
+        pytest.param(_out_is_a_file(_infer_inputs, out="taken/sub"), _INFER,
+                     id="infer-out-under-a-file"),
+        pytest.param(_out_is_a_file(_run("lr-find", "--steps", "3")), _LR_FIND,
+                     id="lr-find-out-is-a-file"),
+        pytest.param(_out_is_a_file(_run("lr-find", "--steps", "3"), out="taken/sub"),
+                     _LR_FIND, id="lr-find-out-under-a-file"),
+    ])
+    def test_out_refused_before_compute(self, tmp_path, capsys, monkeypatch, make_argv,
+                                        computes):
+        argv = make_argv(tmp_path)
+        for module, name in computes:
+            def not_called(*args, name=name, **kwargs):
+                pytest.fail(f"{name} ran although --out cannot be a directory")
+            monkeypatch.setattr(module, name, not_called)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error kind=data msg="'), err
 
     @pytest.mark.parametrize("gt", ["nan,0", "inf,0", "2,-1"])
     def test_loss_field_bad_gt_writes_nothing(self, tmp_path, gt):

@@ -321,6 +321,42 @@ class TestConv2dTwoPieces:
             assert rel_err(got, np.array(num)) < 1e-4, arg
 
 
+class TestConv2dPlan:
+    """conv2d derives everything shape-bound once per key, in nnops._plan."""
+
+    @staticmethod
+    def run(x, w, **kw):
+        """Output, input gradient and weight gradient bytes of one call."""
+        xn, wn = upstream(x), parameter(w)
+        out = conv2d(xn, wn, **kw)
+        backprop(out, np.ones(out.shape, out.dtype))
+        return out.value.tobytes(), xn.grad.tobytes(), wn.grad.tobytes()
+
+    def test_repeat_hits_the_cache_with_the_same_bytes(self, rng):
+        x = rng.normal(size=(2, 4, 9, 7)).astype(np.float32)
+        w = rng.normal(size=(5, 4, 3, 3)).astype(np.float32)
+        nnops._plan.cache_clear()
+        first = self.run(x, w, dilation=2)
+        assert nnops._plan.cache_info().misses == 1
+        again = self.run(x, w, dilation=2)
+        info = nnops._plan.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        nnops._plan.cache_clear()
+        assert again == first == self.run(x, w, dilation=2)
+
+    @pytest.mark.parametrize("change", [
+        dict(dilation=3), dict(stride=2), dict(n=3), dict(x_dtype=np.float64),
+        dict(w_dtype=np.float64)], ids=lambda c: next(iter(c)))
+    def test_keys_that_differ_get_their_own_plan(self, change):
+        base = dict(n=2, stride=1, dilation=1, x_dtype=np.float32, w_dtype=np.float32)
+        plans = []
+        for kw in (base, {**base, **change}):
+            plans.append(nnops._plan((kw["n"], 4, 16, 16), (8, 4, 3, 3), kw["stride"],
+                                     kw["dilation"], np.dtype(kw["x_dtype"]),
+                                     np.dtype(kw["w_dtype"])))
+        assert plans[0] != plans[1]
+
+
 def bn_errors(rng, shape, training, g_dtype=np.float32, eps=1e-5):
     """Run batch_norm forward and backward on f32 inputs whose mean is larger
     than their spread, and measure it against the f64 textbook formula.

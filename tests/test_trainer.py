@@ -67,6 +67,128 @@ class TestAdam:
             opt.step()
 
 
+def reference_adam(values, grads, lr=1e-3, betas=(0.9, 0.999)):
+    """The per-array Adam formula, one step per gradient list in ``grads``
+    (``lr`` a number, or one per step): the updated values and the moments
+    after the last step."""
+    values = [v.copy(order="K") for v in values]
+    ms = [np.zeros_like(v) for v in values]
+    vs = [np.zeros_like(v) for v in values]
+    lrs = np.broadcast_to(lr, len(grads)).tolist()
+    for t, (lr, step) in enumerate(zip(lrs, grads), start=1):
+        b1t, b2t = 1.0 - betas[0] ** t, 1.0 - betas[1] ** t
+        for p, m, v, g in zip(values, ms, vs, step):
+            m *= betas[0]
+            m += (1.0 - betas[0]) * g
+            v *= betas[1]
+            v += (1.0 - betas[1]) * g * g
+            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
+    return values, ms, vs
+
+
+def loose_parameters(rng):
+    """float32 and float64 leaves in turn: a tap-major conv weight, a 0-d
+    scalar, a C-ordered matrix and a Fortran-ordered one."""
+    taps = rng.normal(size=(3, 3, 5, 4)).astype(np.float32)
+    return [parameter(np.ascontiguousarray(taps).transpose(2, 3, 0, 1)),
+            parameter(np.float64(0.5)),
+            parameter(rng.normal(size=(7, 3)).astype(np.float32)),
+            parameter(np.asfortranarray(rng.normal(size=(4, 6)))),
+            parameter(rng.normal(size=11))]
+
+
+class TestArenaAdam:
+    """Adam over the parameter arena gives the per-array formula's bits."""
+
+    @staticmethod
+    def run_steps(params, rng, opt, lrs):
+        """One step per learning rate, on fresh gradients; the gradients."""
+        grads = []
+        for t, lr in enumerate(lrs):
+            step = [(rng.normal(size=p.shape) * 10.0 ** -t).astype(p.dtype) for p in params]
+            for p, g in zip(params, step):
+                p.grad[...] = g
+            opt.lr = lr
+            opt.step()
+            grads.append(step)
+        return grads
+
+    @pytest.mark.parametrize("run", [None, 7])
+    def test_model_matches_per_array_formula(self, rng, monkeypatch, run):
+        if run is not None:  # runs that straddle parameter boundaries
+            monkeypatch.setattr(trainer_mod, "_ADAM_RUN", run)
+        model = tiny_model()
+        params = model.parameters()
+        start = [p.value.copy(order="K") for p in params]
+        opt = Adam(params)
+        grads = self.run_steps(params, rng, opt, [0.01] * 4)
+        want, ms, vs = reference_adam(start, grads, lr=0.01)
+        for p, w, m, v, gm, gv in zip(params, want, ms, vs, opt._m, opt._v):
+            assert p.value.tobytes() == w.tobytes()
+            assert gm.tobytes() == m.tobytes() and gv.tobytes() == v.tobytes()
+            assert p.value.strides == w.strides == gm.strides
+
+    @pytest.mark.parametrize("run", [None, 2])
+    def test_mixed_dtypes_match_per_array_formula(self, rng, monkeypatch, run):
+        if run is not None:
+            monkeypatch.setattr(trainer_mod, "_ADAM_RUN", run)
+        params = loose_parameters(rng)
+        start = [p.value.copy(order="K") for p in params]
+        opt = Adam(params, betas=(0.8, 0.99))
+        lrs = [0.05, 0.025, 0.0125]  # as a plateau schedule changes it
+        grads = self.run_steps(params, rng, opt, lrs)
+        want, _, _ = reference_adam(start, grads, lr=lrs, betas=(0.8, 0.99))
+        for p, w in zip(params, want):
+            assert p.value.dtype == w.dtype and p.value.tobytes() == w.tobytes()
+
+    def test_built_model_is_packed_once(self):
+        model = tiny_model()
+        params = model.parameters()
+        views = [(p.value, p.grad) for p in params]
+        bases = {(id(v.base), id(g.base)) for v, g in views}
+        assert len(bases) == 1  # one dtype, one value and one gradient array
+        Adam(params)
+        Adam(params)
+        assert all(p.value is v and p.grad is g for p, (v, g) in zip(params, views))
+
+    def test_loose_parameters_are_packed_by_adam(self, rng):
+        params = loose_parameters(rng)
+        layouts = [(p.value.copy(order="K"), p.value.strides) for p in params]
+        Adam(params)
+        assert {p.value.dtype: p.value.base is not None for p in params} == {
+            np.dtype(np.float32): True, np.dtype(np.float64): True}
+        for p, (value, strides) in zip(params, layouts):
+            assert p.value.strides == strides and p.grad.strides == strides
+            assert np.array_equal(p.value, value)
+            assert p.grad.base is not p.value.base and not p.grad.any()
+
+    def test_zero_grad_keeps_the_view(self):
+        model = tiny_model()
+        opt = Adam(model.parameters())
+        grads = [p.grad for p in opt.params]
+        for g in grads:
+            g[...] = 1.0
+        opt.zero_grad()
+        assert all(p.grad is g and not g.any() for p, g in zip(opt.params, grads))
+
+    def test_training_keeps_the_arena(self, rng):
+        model = tiny_model()
+        params = model.parameters()
+        views = [(p.value, p.grad) for p in params]
+        recs = make_records(rng, 6)
+        train(model, recs[:4], recs[4:], TrainConfig(max_epochs=2, micro_batch=2, seed=0))
+        assert all(p.value is v and p.grad is g for p, (v, g) in zip(params, views))
+
+    def test_rebound_gradient_is_copied_in(self):
+        x = parameter(np.ones(3, np.float32))
+        opt = Adam([x], lr=0.1)
+        view = x.grad
+        x.grad = np.full(3, 2.0)  # float64, as an upcasting accumulate leaves it
+        opt.step()
+        assert x.grad is view and np.array_equal(view, np.full(3, 2.0, np.float32))
+        assert np.allclose(x.value, 0.9)
+
+
 class TestAggregation:
     def test_matches_full_batch_on_decomposable_loss(self, rng):
         w = parameter(rng.normal(size=8))
