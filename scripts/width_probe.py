@@ -16,10 +16,13 @@ parameter gradient and a digest of the parameters after the Adam step (so
 two builds can be checked for bit-identical gradients and updates),
 ``eval_sha256``, a digest of the eval window's outputs (so that a change to
 inference numerics shows as a new value), the process's peak RSS from ``getrusage`` after the backward pass and at the
-end, ``graph_mb_at_backward``, the MB of op results (non-leaf values) the
-recorded graph holds when backward starts, with its breakdown by producing
-op, and the minor page faults (``ru_minflt``) taken during forward plus
-backward, the eval window, ``Adam.step`` and ``zero_grad``.  Forward and
+end, ``graph_mb_at_backward``, the MB that the op results (non-leaf values)
+of the recorded graph own when backward starts (``autodiff.owned_bytes``: a
+released value owns none), with its breakdown by producing op, next to
+``graph_nbytes_mb_at_backward``, the sum of their ``nbytes`` (a released
+value still reports its full size), and the minor page faults
+(``ru_minflt``) taken during forward plus backward, the eval window,
+``Adam.step`` and ``zero_grad``.  Forward and
 backward run under perfbench's tracer (``perfbench/optrace.py``), which
 gives the per-op table ``train_step_ops``: calls, forward and backward ms
 and share of forward plus backward for each nnops op, each conv2d class and
@@ -41,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from atrousseg.autodiff import recorded_nodes
+from atrousseg.autodiff import owned_bytes
 from atrousseg.labels import derive_record
 from atrousseg.models import ModelSpec, build_model
 from atrousseg.synth import SceneSpec, generate
@@ -83,16 +86,18 @@ def timed(fn) -> tuple[float, float, int]:
     return time.perf_counter() - t0, cpu_seconds() - c0, minor_faults() - f0
 
 
-def graph_census(root) -> tuple[float, dict]:
-    """MB of the op results the graph under ``root`` holds, in total and by
-    producing op, named from each node's backward closure
-    ("batch_norm.<locals>.backward"; the tracer keeps the name)."""
-    mb, nodes = collections.Counter(), collections.Counter()
-    for node in recorded_nodes(root):
+def graph_census(root) -> tuple[float, float, dict]:
+    """MB that the op results of the graph under ``root`` own, in total and
+    by producing op, named from each node's backward closure
+    ("batch_norm.<locals>.backward"; the tracer keeps the name), and the MB
+    their ``nbytes`` add up to."""
+    mb, nodes, nbytes = collections.Counter(), collections.Counter(), 0
+    for node, size in owned_bytes(root):
         op = node._backward.__qualname__.split(".<locals>.")[-2]
-        mb[op] += node.value.nbytes / 2**20
+        mb[op] += size / 2**20
         nodes[op] += 1
-    return round(sum(mb.values()), 1), {
+        nbytes += node.value.nbytes
+    return round(sum(mb.values()), 1), round(nbytes / 2**20, 1), {
         op: {"mb": round(v, 1), "nodes": nodes[op]} for op, v in mb.most_common()}
 
 
@@ -125,7 +130,7 @@ def main() -> None:
         f0, c0, t0 = minor_faults(), cpu_seconds(), time.perf_counter()
         loss, _ = batch_loss(model, [record], "tanimoto-complement")
         t1, c1 = time.perf_counter(), cpu_seconds()
-        graph_mb, graph_by_op = graph_census(loss)  # untimed
+        graph_mb, graph_nbytes_mb, graph_by_op = graph_census(loss)  # untimed
         t2, c2 = time.perf_counter(), cpu_seconds()
         loss.backward()
         t3, c3, f1 = time.perf_counter(), cpu_seconds(), minor_faults()
@@ -160,7 +165,8 @@ def main() -> None:
         "param_sha256_after_adam": updated_digest, "eval_sha256": eval_digest,
         "peak_rss_mb_after_step": round(step_rss, 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
-        "graph_mb_at_backward": graph_mb, "graph_at_backward_by_op": graph_by_op,
+        "graph_mb_at_backward": graph_mb, "graph_nbytes_mb_at_backward": graph_nbytes_mb,
+        "graph_at_backward_by_op": graph_by_op,
         "minflt_train_step": f1 - f0, "minflt_eval_window": eval_flt,
         "minflt_adam_step": adam_flt, "minflt_zero_grad": zero_flt,
         "train_step_ops": op_table(tracer, step_s),

@@ -9,6 +9,15 @@ path contributions.  The walk consumes the graph: each node drops its
 closure and parents once they have run, so activations are freed as the
 walk goes and there is one backward per forward.
 
+Each op declares, through :func:`make_node`, which parent values its
+backward reads and whether it reads its own output; a recorded graph then
+knows which values some backward reads.  :func:`release` swaps any other
+op result's value for a zero-byte placeholder of its shape and dtype, so
+the graph stops holding it.  The code that made a value calls ``release``,
+since only it knows that no caller reads the value again; ``owned_bytes``
+counts what the graph still holds (Chen et al. 2015, arXiv:1512.01274, plan
+memory the same way).
+
 Only the arithmetic needed by the segmentation stack lives here; the
 convolution / pooling / normalisation primitives are in ``nnops``.
 """
@@ -52,7 +61,7 @@ def _consumed(g):
 class Node:
     """An ndarray value participating in a differentiable computation."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_read")
 
     def __init__(self, value, requires_grad: bool = False,
                  parents: tuple = (), backward=None):
@@ -63,6 +72,7 @@ class Node:
         )
         self._parents = parents
         self._backward = backward
+        self._read = False  # some recorded backward reads the value
 
     # -- introspection -------------------------------------------------
     @property
@@ -283,12 +293,76 @@ def accumulate(node: Node, grad: np.ndarray) -> None:
         node.grad = node.grad + grad
 
 
-def make_node(value: np.ndarray, parents: Iterable[Node], backward) -> Node:
-    """Wrap an op result, recording the graph only when gradients flow."""
+def make_node(value: np.ndarray, parents: Iterable[Node], backward, *,
+              reads: tuple, reads_output: bool = False) -> Node:
+    """Wrap an op result, recording the graph only when gradients flow.
+
+    ``reads`` are the parents whose values ``backward`` reads, and
+    ``reads_output`` says whether it reads ``value``; every other value it
+    may know only by shape and dtype, which a released value keeps.  A
+    recorded node marks what it reads, so that :func:`release` refuses those
+    values.  An op built on a released parent raises ValueError: its forward
+    read the placeholder, and a declared read would read it again."""
     parents = tuple(parents)
+    if any(_released(p.value) for p in parents):
+        raise ValueError("an op was built on a released value; "
+                         "release a value only after its last consumer is built")
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        return Node(value, requires_grad=True, parents=parents, backward=backward)
+        for p in reads:
+            p._read = True
+        node = Node(value, requires_grad=True, parents=parents, backward=backward)
+        node._read = reads_output
+        return node
     return Node(value)
+
+
+# one shared zero per dtype, which every released value of that dtype views
+_ZEROS: dict[np.dtype, np.ndarray] = {}
+
+
+def _released(a: np.ndarray) -> bool:
+    return a.base is not None and a.base is _ZEROS.get(a.dtype)
+
+
+def release(*nodes: Node) -> None:
+    """Stop the recorded graph from holding the values of ``nodes``.
+
+    Each value becomes a zero-byte, read-only placeholder with its shape
+    and dtype, so the array lives on only through a caller's own reference.
+    Only the code that made a value knows that no caller reads it again, so
+    that code calls ``release``.  Before any value changes, it raises
+    ValueError for a leaf (a parameter, or an input that requires grad) and
+    for a node whose value a recorded backward reads, a consumer's or its
+    own (see :func:`make_node`).  Outside grad mode, and for a node that no
+    graph records, it does nothing."""
+    if not _GRAD_ENABLED:
+        return
+    recorded = [node for node in nodes if node.requires_grad]
+    for node in recorded:
+        if node._backward is None:
+            raise ValueError("release: a leaf's value is not the graph's to release")
+        if node._read:
+            raise ValueError(f"release: a recorded backward reads this {node.shape} value")
+    for node in recorded:
+        zero = _ZEROS.setdefault(node.dtype, np.zeros((), node.dtype))
+        node.value = np.broadcast_to(zero, node.shape)
+
+
+def owned_bytes(root: Node) -> list[tuple[Node, int]]:
+    """Each op result that the graph under ``root`` holds (``recorded_nodes``)
+    with the bytes its value keeps alive: all of the array whose memory it
+    views, counted at the first node that views it.  A released value owns
+    0 bytes, although its ``nbytes`` still reports its full size."""
+    counted: set[int] = set()
+    held = []
+    for node in recorded_nodes(root):
+        block = node.value
+        while isinstance(block.base, np.ndarray):
+            block = block.base
+        owns = not _released(node.value) and id(block) not in counted
+        counted.add(id(block))
+        held.append((node, block.nbytes if owns else 0))
+    return held
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -324,7 +398,7 @@ def add(a, b, *rest) -> Node:
             if v.requires_grad:
                 accumulate(v, _unbroadcast(g, v.value.shape))
 
-    return make_node(out, xs, backward)
+    return make_node(out, xs, backward, reads=())
 
 
 def mul(a, b) -> Node:
@@ -337,7 +411,7 @@ def mul(a, b) -> Node:
         if b.requires_grad:
             accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
-    return make_node(out, (a, b), backward)
+    return make_node(out, (a, b), backward, reads=(a, b))
 
 
 def div(a, b) -> Node:
@@ -350,7 +424,7 @@ def div(a, b) -> Node:
         if b.requires_grad:
             accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
 
-    return make_node(out, (a, b), backward)
+    return make_node(out, (a, b), backward, reads=(a, b))
 
 
 def power(a, exponent: float) -> Node:
@@ -361,7 +435,7 @@ def power(a, exponent: float) -> Node:
     def backward(g):
         accumulate(a, g * exponent * a.value ** (exponent - 1.0))
 
-    return make_node(out, (a,), backward)
+    return make_node(out, (a,), backward, reads=(a,))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
@@ -374,4 +448,4 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
             g = np.expand_dims(g, axis)
         accumulate(a, np.broadcast_to(g, a.value.shape).copy())
 
-    return make_node(np.asarray(out), (a,), backward)
+    return make_node(np.asarray(out), (a,), backward, reads=())

@@ -89,7 +89,7 @@ def _similarity(loss_id: str, p, l, weights, eps: float) -> Node:
         gp += a
         accumulate(p, gp.astype(p.dtype, copy=False).reshape(p.shape))
 
-    return make_node(value, (p,), backward)
+    return make_node(value, (p,), backward, reads=(p,))
 
 
 def loss_fn(loss_id: str):

@@ -6,6 +6,12 @@ filter doubling via stride-2 1x1 convolutions, a pyramid-pooled middle, and
 a mirrored decoder with skip combinations back to full resolution.  d7 adds
 one more encoder/decoder level; its middle is either a 2x2-max-pool fusion
 (v1) or the reduced pyramid pooling over scales {1,2,4} (v2).
+
+A recorded forward releases (``autodiff.release``) the values whose one
+consumer's backward does not read them: the v1 middle's pooled map once it
+is concatenated, and every head logit once its sigmoid or softmax, which
+reads its own output, is made.  The head outputs are never released:
+callers read them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, nnops
+from . import autodiff, fileio, nnops
 from .autodiff import Node, ShapeError, as_node, pack_parameters
 from .blocks import BlockConfig, Combine, Conv2DN, PSPPooling, ResBlockA, UpSampleBlock
 from .modules import Conv2d, Module, ModuleList
@@ -95,13 +101,16 @@ class _MiddleV1(Module):
     # 2x2 max pooling broadcast back over each pooled block, concatenated with
     # the input and fused by a biased 1x1 convolution.  The map is square with
     # even sides, which ModelSpec.check_image_size asks of the model input.
+    # The concat reads no values, so the pooled map is released after it.
     def __init__(self, channels, rng):
         super().__init__()
         self.proj = Conv2d(2 * channels, channels, 1, bias=True, rng=rng)
 
     def forward(self, x) -> Node:
         pooled = nnops.max_pool_grid(x, cells=x.shape[2] // 2)
-        return self.proj(nnops.concat_channels([pooled, x]))
+        cat = nnops.concat_channels([pooled, x])
+        autodiff.release(pooled)
+        return self.proj(cat)
 
 
 class _Trunk(Module):
@@ -167,6 +176,14 @@ class _RegressionBranch(Module):
         return self.logit(self.c2(h, relu=True))
 
 
+def _squash(fn, logit: Node) -> Node:
+    """``fn(logit)`` for sigmoid or softmax_channel, whose backward reads
+    only its own output, with the logit released."""
+    out = fn(logit)
+    autodiff.release(logit)
+    return out
+
+
 class _SingleHead(Module):
     def __init__(self, channels, n_classes, rng):
         super().__init__()
@@ -175,7 +192,7 @@ class _SingleHead(Module):
 
     def forward(self, x) -> MultiHeadOutput:
         return MultiHeadOutput(
-            segmentation=nnops.softmax_channel(self.logit(self.psp(x))))
+            segmentation=_squash(nnops.softmax_channel, self.logit(self.psp(x))))
 
 
 class _MtskHead(Module):
@@ -194,10 +211,10 @@ class _MtskHead(Module):
     def forward(self, x) -> MultiHeadOutput:
         pooled = self.psp(x)
         return MultiHeadOutput(
-            segmentation=nnops.softmax_channel(self.seg_logit(pooled)),
-            boundary=nnops.sigmoid(self.bound_logit(pooled)),
-            distance=nnops.sigmoid(self.distance(x)),
-            color=nnops.sigmoid(self.color(x)))
+            segmentation=_squash(nnops.softmax_channel, self.seg_logit(pooled)),
+            boundary=_squash(nnops.sigmoid, self.bound_logit(pooled)),
+            distance=_squash(nnops.sigmoid, self.distance(x)),
+            color=_squash(nnops.sigmoid, self.color(x)))
 
 
 class _CmtskHead(Module):
@@ -214,13 +231,14 @@ class _CmtskHead(Module):
         self.color = _RegressionBranch(channels, 3, rng)
 
     def forward(self, x) -> MultiHeadOutput:
-        dist = nnops.sigmoid(self.distance(x))
+        dist = _squash(nnops.sigmoid, self.distance(x))
         pooled = self.psp(x)
-        bound = nnops.sigmoid(self.bound_logit(nnops.concat_channels([pooled, dist])))
-        seg = nnops.softmax_channel(
-            self.seg_logit(nnops.concat_channels([pooled, dist, bound])))
-        return MultiHeadOutput(segmentation=seg, boundary=bound,
-                               distance=dist, color=nnops.sigmoid(self.color(x)))
+        bound = _squash(nnops.sigmoid,
+                        self.bound_logit(nnops.concat_channels([pooled, dist])))
+        seg = _squash(nnops.softmax_channel,
+                      self.seg_logit(nnops.concat_channels([pooled, dist, bound])))
+        return MultiHeadOutput(segmentation=seg, boundary=bound, distance=dist,
+                               color=_squash(nnops.sigmoid, self.color(x)))
 
 
 _HEAD_CLASSES = {"single": _SingleHead, "mtsk": _MtskHead, "cmtsk": _CmtskHead}

@@ -27,16 +27,19 @@ _BN_EPS = 1e-5
 
 def relu(x, inplace: bool = False) -> Node:
     """max(x, 0).  ``inplace=True`` rectifies x's own array, for an op result
-    that nothing else reads and whose backward does not read its value (a
-    conv2d output); the mask x > 0 read after that is the same (NaN
-    included), so the bits are those of ``relu(x)``."""
+    that nothing else reads (a conv2d output); it raises ValueError when a
+    recorded backward, x's own or an earlier consumer's, reads x's value.
+    The mask x > 0 that this op's backward reads is the same after the
+    rectification (NaN included), so the bits are those of ``relu(x)``."""
     x = as_node(x)
+    if inplace and x._read:
+        raise ValueError("relu(inplace=True): a recorded backward reads the input's value")
     out = np.maximum(x.value, 0, out=x.value if inplace else None)
 
     def backward(g):
         accumulate(x, g * (x.value > 0))
 
-    return make_node(out, (x,), backward)
+    return make_node(out, (x,), backward, reads=(x,))
 
 
 def sigmoid(x) -> Node:
@@ -50,7 +53,7 @@ def sigmoid(x) -> Node:
     def backward(g):
         accumulate(x, g * out * (1.0 - out))
 
-    return make_node(out, (x,), backward)
+    return make_node(out, (x,), backward, reads=(), reads_output=True)
 
 
 def softmax_channel(x) -> Node:
@@ -66,7 +69,7 @@ def softmax_channel(x) -> Node:
         inner = (g * out).sum(axis=1, keepdims=True)
         accumulate(x, out * (g - inner))
 
-    return make_node(out, (x,), backward)
+    return make_node(out, (x,), backward, reads=(), reads_output=True)
 
 
 def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
@@ -147,7 +150,7 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
             accumulate(x, gx)
 
     parents = (x, w) if b is None else (x, w, b)
-    return make_node(out, parents, backward)
+    return make_node(out, parents, backward, reads=(x, w))
 
 
 class _ConvPlan(NamedTuple):
@@ -360,7 +363,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         d *= scale[:, None, None]
         accumulate(x, d)
 
-    return make_node(out, (x, gamma, beta), backward)
+    return make_node(out, (x, gamma, beta), backward, reads=(x,), reads_output=relu)
 
 
 def fold_batch_norm(w, gamma, beta, running_mean, running_var, dtype) -> tuple[Node, Node]:
@@ -391,7 +394,8 @@ def fold_batch_norm(w, gamma, beta, running_mean, running_var, dtype) -> tuple[N
         if beta.requires_grad:
             accumulate(beta, g)
 
-    return make_node(wf, (w, gamma), w_backward), make_node(bf, (gamma, beta), b_backward)
+    return (make_node(wf, (w, gamma), w_backward, reads=(w,)),
+            make_node(bf, (gamma, beta), b_backward, reads=()))
 
 
 def max_pool_grid(x, cells: int) -> Node:
@@ -429,7 +433,7 @@ def max_pool_grid(x, cells: int) -> Node:
               .reshape(n, c, h, w))
         accumulate(x, gx)
 
-    return make_node(out, (x,), backward)
+    return make_node(out, (x,), backward, reads=())
 
 
 def nearest_upsample(x, factor: int) -> Node:
@@ -447,7 +451,7 @@ def nearest_upsample(x, factor: int) -> Node:
     def backward(g):
         accumulate(x, g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
 
-    return make_node(out, (x,), backward)
+    return make_node(out, (x,), backward, reads=())
 
 
 def concat_channels(xs) -> Node:
@@ -465,7 +469,7 @@ def concat_channels(xs) -> Node:
         for v, a, b in zip(xs, offsets[:-1], offsets[1:]):
             accumulate(v, g[:, a:b])
 
-    return make_node(out, tuple(xs), backward)
+    return make_node(out, tuple(xs), backward, reads=())
 
 
 def channel_slice(x, start: int, stop: int) -> Node:
@@ -474,8 +478,8 @@ def channel_slice(x, start: int, stop: int) -> Node:
     out = x.value[:, start:stop].copy()
 
     def backward(g):
-        gx = np.zeros_like(x.value)
+        gx = np.zeros(x.shape, x.dtype)
         gx[:, start:stop] = g
         accumulate(x, gx)
 
-    return make_node(out, (x,), backward)
+    return make_node(out, (x,), backward, reads=())

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atrousseg.autodiff import (Node, ShapeError, add, as_node, div,
-                                is_grad_enabled, mul, no_grad, pack_parameters,
-                                parameter)
+                                is_grad_enabled, mul, no_grad, owned_bytes,
+                                pack_parameters, parameter, release)
 from conftest import numeric_gradient, rel_err
 
 TOL = 1e-7
@@ -125,6 +125,66 @@ class TestConsumedGraph:
         assert probe() is not None  # the graph holds it until backward
         loss.backward()
         assert probe() is None
+
+
+class TestRelease:
+    """``release`` drops a recorded value that no backward reads, and
+    refuses any other."""
+
+    def test_released_value_keeps_shape_and_dtype_and_owns_nothing(self):
+        x = parameter(np.array([1.0, -2.0, 3.0], np.float32))
+        h = x * np.float32(3.0)
+        loss = add(h, 1.0).sum()  # add and sum read no values
+        assert dict((id(n), b) for n, b in owned_bytes(loss))[id(h)] == h.value.nbytes
+        release(h)
+        assert h.shape == (3,) and h.dtype == np.float32
+        assert not h.value.flags.writeable and h.value.nbytes == 12
+        assert dict((id(n), b) for n, b in owned_bytes(loss))[id(h)] == 0
+        loss.backward()
+        assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
+
+    def test_value_a_recorded_backward_reads_is_refused_and_kept(self):
+        x = parameter(np.array([1.0, -2.0]))
+        h, kept = x * 3.0, x * 5.0
+        _ = h * h  # mul reads both operands
+        before = h.value.copy()
+        with pytest.raises(ValueError, match="reads"):
+            release(kept, h)
+        assert np.array_equal(h.value, before) and kept.value.flags.writeable
+
+    def test_op_built_on_a_released_parent_raises(self):
+        x = parameter(np.array([1.0, -2.0]))
+        h = x * 3.0
+        _ = add(h, 1.0)
+        release(h)
+        with pytest.raises(ValueError, match="released"):
+            h * 2.0  # mul reads h in backward
+        with pytest.raises(ValueError, match="released"):
+            add(h, 1.0)  # add reads no value in backward, but did in forward
+
+    def test_does_nothing_under_no_grad(self):
+        x = parameter(np.array([1.0, -2.0]))
+        h = x * 3.0
+        with no_grad():
+            release(h)
+            c = x * 3.0
+            release(c)
+        assert h.value.flags.writeable and np.array_equal(h.value, [3.0, -6.0])
+        assert np.array_equal(c.value, [3.0, -6.0])
+
+    def test_leaf_is_refused(self):
+        x = parameter(np.array([1.0, -2.0]))
+        with pytest.raises(ValueError, match="leaf"):
+            release(x)
+        assert x.value.flags.writeable
+
+    def test_owned_bytes_counts_a_shared_array_once(self):
+        x = parameter(np.ones(4))
+        h = x * 2.0
+        loss = (Node(h.value.reshape(2, 2), requires_grad=True, parents=(h,),
+                     backward=lambda g: None).sum() + h.sum())
+        sizes = sorted(b for n, b in owned_bytes(loss) if n.size == 4)
+        assert sizes == [0, 32]
 
 
 class TestBroadcastGradients:

@@ -14,6 +14,7 @@ from atrousseg.nnops import (batch_norm, channel_slice, concat_channels,
                              conv2d, fold_batch_norm, max_pool_grid,
                              nearest_upsample, relu, sigmoid, softmax_channel)
 from conftest import numeric_gradient, rel_err
+from test_acceptance import _loss_cases, _op_cases
 
 TOL = 1e-4  # module contract; most ops land far below
 
@@ -664,6 +665,16 @@ class TestReluInplace:
         fd_check(lambda xn, wn, bn: (relu(conv2d(xn, wn, bn, dilation=dilation),
                                           inplace=True) ** 2).sum(), [x, w, b])
 
+    def test_refuses_an_input_a_recorded_backward_reads(self, rng):
+        s = sigmoid(parameter(rng.normal(size=(1, 2, 3, 3))))  # reads its output
+        h = conv2d(parameter(rng.normal(size=(1, 2, 3, 3))), rng.normal(size=(2, 2, 1, 1)))
+        _ = conv2d(h, rng.normal(size=(2, 2, 1, 1)))  # reads h
+        for x in (s, h):
+            before = x.value.copy()
+            with pytest.raises(ValueError, match="reads"):
+                relu(x, inplace=True)
+            assert np.array_equal(x.value, before)
+
 
 class TestFoldBatchNorm:
     """fold_batch_norm gives weights and a bias with which one conv is the
@@ -795,3 +806,71 @@ class TestUpsampleAndFriends:
         b = parameter(rng.normal(size=(1, 2, 4, 3)))
         with pytest.raises(ShapeError):
             concat_channels([a, b])
+
+
+def _graph(root):
+    """Every node under root, leaves and constants included."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _extra_read_cases(rng):
+    """fold_batch_norm and relu(inplace=True), which criterion 1 leaves out,
+    and the ops that read their own output with a consumer that reads
+    nothing (criterion 1's readouts read every op output)."""
+    x, w = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3))
+    gamma, beta = rng.uniform(0.5, 1.5, 4), rng.normal(size=4)
+    rm, rv, t = rng.normal(size=4), rng.uniform(0.5, 1.5, 4), rng.normal(size=(2, 4, 5, 5))
+    t2 = rng.normal(size=(2, 3, 10, 10))
+
+    def folded(n):
+        wf, bf = fold_batch_norm(n["w"], n["gamma"], n["beta"], rm, rv, np.float64)
+        return (relu(conv2d(n["x"], wf, bf), inplace=True) * t).sum()
+
+    def upsampled(op):
+        return lambda n: (nearest_upsample(op(n["x"]), 2) * t2).sum()
+
+    def bn_relu(x):
+        return batch_norm(x, gamma[:3], beta[:3], np.zeros(3), np.ones(3),
+                          training=True, relu=True)
+
+    return [("fold_batch_norm_relu_inplace",
+             {"x": x, "w": w, "gamma": gamma, "beta": beta}, folded),
+            *((f"{op.__name__}_then_upsample", {"x": x}, upsampled(op))
+              for op in (relu, sigmoid, softmax_channel, bn_relu))]
+
+
+_READ_CASES = (_op_cases(np.random.default_rng(0)) + _loss_cases(np.random.default_rng(1))
+               + _extra_read_cases(np.random.default_rng(2)))
+
+
+class TestDeclaredReads:
+    """No backward reads a value that no op declared it reads: overwriting
+    every such value with NaN in place (which a closure holding its array
+    would see) and then swapping it for a zero-byte placeholder, leaves and
+    constants included, leaves every gradient byte-identical."""
+
+    @pytest.mark.parametrize("label,params,forward", _READ_CASES,
+                             ids=[case[0] for case in _READ_CASES])
+    def test_undeclared_values_are_not_read(self, label, params, forward):
+        def grads(swap):
+            nodes = {k: parameter(np.array(v)) for k, v in params.items()}
+            loss = forward(nodes)
+            unread = [node for node in _graph(loss) if not node._read] if swap else []
+            for node in unread:
+                if node.value.flags.writeable:
+                    node.value[...] = np.nan
+                node.value = np.broadcast_to(np.zeros((), node.dtype), node.shape)
+            loss.backward()
+            return [nodes[k].grad.tobytes() for k in params], len(unread)
+
+        plain = grads(False)[0]
+        swapped, count = grads(True)
+        assert count > 0
+        assert swapped == plain
