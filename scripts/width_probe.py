@@ -15,15 +15,17 @@ work on a second CPU shows, the absolute sum and a SHA-256 digest of every
 parameter gradient and a digest of the parameters after the Adam step (so
 two builds can be checked for bit-identical gradients and updates),
 ``eval_sha256``, a digest of the eval window's outputs (so that a change to
-inference numerics shows as a new value), the process's peak RSS from ``getrusage`` after the backward pass and at the
-end, ``graph_mb_at_backward``, the MB that the op results (non-leaf values)
-of the recorded graph own when backward starts (``autodiff.owned_bytes``: a
-released value owns none), with its breakdown by producing op, next to
-``graph_nbytes_mb_at_backward``, the sum of their ``nbytes`` (a released
-value still reports its full size), and the minor page faults
-(``ru_minflt``) taken during forward plus backward, the eval window,
-``Adam.step`` and ``zero_grad``.  Forward and
-backward run under perfbench's tracer (``perfbench/optrace.py``), which
+inference numerics shows as a new value), the process's peak RSS from
+``getrusage`` after the backward pass and at the end,
+``graph_mb_at_backward``, the MB of op values that the records of the
+recorded graph save when backward starts (``autodiff.owned_bytes``), with
+its breakdown by the op whose record saves each array,
+``graph_other_mb_at_backward``, the MB of the other arrays that the
+backward closures hold (the input batch, loss targets, argmax indices and
+per-channel statistics; the parameters are left out), by op, and the minor
+page faults (``ru_minflt``) taken during forward plus backward, the eval
+window, ``Adam.step`` and ``zero_grad``.  Forward and backward run under
+perfbench's tracer (``perfbench/optrace.py``), which
 gives the per-op table ``train_step_ops``: calls, forward and backward ms
 and share of forward plus backward for each nnops op, each conv2d class and
 the autodiff arithmetic.  A run takes about 12 s and 2 GB; pin BLAS to one
@@ -86,19 +88,52 @@ def timed(fn) -> tuple[float, float, int]:
     return time.perf_counter() - t0, cpu_seconds() - c0, minor_faults() - f0
 
 
-def graph_census(root) -> tuple[float, float, dict]:
-    """MB that the op results of the graph under ``root`` own, in total and
-    by producing op, named from each node's backward closure
-    ("batch_norm.<locals>.backward"; the tracer keeps the name), and the MB
-    their ``nbytes`` add up to."""
-    mb, nodes, nbytes = collections.Counter(), collections.Counter(), 0
-    for node, size in owned_bytes(root):
-        op = node._backward.__qualname__.split(".<locals>.")[-2]
+def block(a: np.ndarray) -> np.ndarray:
+    """The array whose memory ``a`` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def closure_arrays(fn):
+    """The arrays that the closure ``fn`` holds, through the closures, lists
+    and tuples it holds."""
+    stack, seen = [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif callable(obj):
+            stack.extend(cell.cell_contents for cell in getattr(obj, "__closure__", None) or ())
+
+
+def graph_census(root, params) -> tuple[float, dict, float, dict]:
+    """MB of op values that the records of the graph under ``root`` save, in
+    total and by the op whose record saves each array, named from its
+    backward closure ("batch_norm.<locals>.backward"; the tracer keeps the
+    name); then the MB of the other arrays the closures hold, in total and
+    by op, memory that ``params`` view left out."""
+    held = owned_bytes(root)
+    counted = {id(block(a)) for rec, _ in held for a in rec.saved}
+    counted |= {id(block(p.value)) for p in params}
+    mb, records, other = collections.Counter(), collections.Counter(), collections.Counter()
+    for rec, size in held:
+        op = rec.backward.__qualname__.split(".<locals>.")[-2]
         mb[op] += size / 2**20
-        nodes[op] += 1
-        nbytes += node.value.nbytes
-    return round(sum(mb.values()), 1), round(nbytes / 2**20, 1), {
-        op: {"mb": round(v, 1), "nodes": nodes[op]} for op, v in mb.most_common()}
+        records[op] += 1
+        for a in closure_arrays(rec.backward):
+            if id(block(a)) not in counted:
+                counted.add(id(block(a)))
+                other[op] += block(a).nbytes / 2**20
+    return (round(sum(mb.values()), 1),
+            {op: {"mb": round(v, 1), "records": records[op]} for op, v in mb.most_common()},
+            round(sum(other.values()), 1),
+            {op: round(v, 2) for op, v in other.most_common()})
 
 
 def op_table(tracer: optrace.Tracer, step_s: float) -> dict:
@@ -130,7 +165,7 @@ def main() -> None:
         f0, c0, t0 = minor_faults(), cpu_seconds(), time.perf_counter()
         loss, _ = batch_loss(model, [record], "tanimoto-complement")
         t1, c1 = time.perf_counter(), cpu_seconds()
-        graph_mb, graph_nbytes_mb, graph_by_op = graph_census(loss)  # untimed
+        graph_mb, graph_by_op, other_mb, other_by_op = graph_census(loss, params)  # untimed
         t2, c2 = time.perf_counter(), cpu_seconds()
         loss.backward()
         t3, c3, f1 = time.perf_counter(), cpu_seconds(), minor_faults()
@@ -165,8 +200,8 @@ def main() -> None:
         "param_sha256_after_adam": updated_digest, "eval_sha256": eval_digest,
         "peak_rss_mb_after_step": round(step_rss, 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
-        "graph_mb_at_backward": graph_mb, "graph_nbytes_mb_at_backward": graph_nbytes_mb,
-        "graph_at_backward_by_op": graph_by_op,
+        "graph_mb_at_backward": graph_mb, "graph_at_backward_by_op": graph_by_op,
+        "graph_other_mb_at_backward": other_mb, "graph_other_at_backward_by_op": other_by_op,
         "minflt_train_step": f1 - f0, "minflt_eval_window": eval_flt,
         "minflt_adam_step": adam_flt, "minflt_zero_grad": zero_flt,
         "train_step_ops": op_table(tracer, step_s),

@@ -1,22 +1,22 @@
 """Reverse-mode automatic differentiation on top of numpy.
 
-A :class:`Node` wraps an ndarray value together with an optional gradient
-buffer and a closure that scatters an upstream gradient to the node's
-parents.  Calling :meth:`Node.backward` on a scalar node walks the graph
-once in reverse topological order, accumulating gradients additively, so
-values reused in several places (diamond graphs) receive the sum of all
-path contributions.  The walk consumes the graph: each node drops its
-closure and parents once they have run, so activations are freed as the
-walk goes and there is one backward per forward.
+A :class:`Node` is an ndarray value.  One that requires grad also has a
+:class:`Record`, which is all that the graph keeps of it: the gradient and,
+for an op result, the parents' records, a closure that scatters an upstream
+gradient to them, and the arrays that closure saves.  A record never holds
+its node, so an op result's value lives as long as its node unless some
+backward saves it, and a forward frees each other value once its last
+Python reference goes (the design of Paszke et al. 2019, arXiv:1912.01703).
+Calling :meth:`Node.backward` on a scalar node walks the records once in
+reverse topological order, accumulating gradients additively, so values
+reused in several places (diamond graphs) receive the sum of all path
+contributions.  The walk consumes the graph: each record drops its closure,
+parents and saved arrays once they have run, so activations are freed as
+the walk goes and there is one backward per forward.
 
 Each op declares, through :func:`make_node`, which parent values its
-backward reads and whether it reads its own output; a recorded graph then
-knows which values some backward reads.  :func:`release` swaps any other
-op result's value for a zero-byte placeholder of its shape and dtype, so
-the graph stops holding it.  The code that made a value calls ``release``,
-since only it knows that no caller reads the value again; ``owned_bytes``
-counts what the graph still holds (Chen et al. 2015, arXiv:1512.01274, plan
-memory the same way).
+backward reads and whether it reads its own output; its record saves those
+that are op results, and ``owned_bytes`` counts what they hold.
 
 Only the arithmetic needed by the segmentation stack lives here; the
 convolution / pooling / normalisation primitives are in ``nnops``.
@@ -54,25 +54,59 @@ def no_grad():
 
 
 def _consumed(g):
-    """Closure left on a node whose graph a backward walk consumed; the walk
-    rejects such nodes in ``_toposort``, before any closure runs."""
+    """Closure left on a record that a backward walk consumed; the walk
+    rejects such records in ``_toposort``, before any closure runs."""
+
+
+class Record:
+    """What the graph keeps of a value that requires grad: its gradient and,
+    for an op result, its parents' records, the one-argument ``backward(g)``
+    closure and the op values that closure saves.  A leaf's record has no
+    parents, closure or saved arrays."""
+
+    __slots__ = ("grad", "parents", "backward", "saved")
+
+    def __init__(self, grad=None, parents: tuple = (), backward=None, saved: tuple = ()):
+        self.grad: np.ndarray | None = grad
+        self.parents = parents
+        self.backward = backward
+        self.saved = saved
 
 
 class Node:
-    """An ndarray value participating in a differentiable computation."""
+    """An ndarray value participating in a differentiable computation.  A
+    node that requires grad has a :class:`Record`; a constant, or an op
+    result made while no gradient flows, has none."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_read")
+    __slots__ = ("value", "_record", "_read")
 
-    def __init__(self, value, requires_grad: bool = False,
-                 parents: tuple = (), backward=None):
+    def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = (
-            np.zeros_like(self.value) if requires_grad and backward is None else None
-        )
-        self._parents = parents
-        self._backward = backward
+        self._record = Record(np.zeros_like(self.value)) if requires_grad else None
         self._read = False  # some recorded backward reads the value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._record is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._record is None else self._record.grad
+
+    @grad.setter
+    def grad(self, grad) -> None:
+        self._record.grad = grad
+
+    @property
+    def _backward(self):
+        """The record's closure: None for a leaf or a node without a record.
+        A recorded op result's closure may be replaced by a wrapper that
+        calls it (a tracer's timing wrapper, say)."""
+        return None if self._record is None else self._record.backward
+
+    @_backward.setter
+    def _backward(self, backward) -> None:
+        self._record.backward = backward
 
     # -- introspection -------------------------------------------------
     @property
@@ -102,32 +136,36 @@ class Node:
         """Reset the gradient to exact zeros.  A leaf whose gradient has its
         value's shape and dtype is zeroed in place, so a packed parameter
         keeps its view into the arena; any other gradient is replaced."""
-        if self.requires_grad:
-            if self._backward is None and _fits(self.grad, self.value):
-                self.grad.fill(0)
+        rec = self._record
+        if rec is not None:
+            if rec.backward is None and _fits(rec.grad, self.value):
+                rec.grad.fill(0)
             else:
-                self.grad = np.zeros_like(self.value)
+                rec.grad = np.zeros_like(self.value)
 
     def backward(self) -> None:
         """Backpropagate from a scalar node through the recorded graph.
 
-        The graph is consumed as the walk goes: once a node's closure has
-        run, the node drops it and its parents, so whatever only the graph
-        held is freed.  Nodes keep their ``.grad``, and leaf parameters are
-        never consumed.  There is one backward per forward: a walk that
-        reaches a consumed node raises before it changes any gradient.
+        The graph is consumed as the walk goes: once a record's closure has
+        run, the record drops it, its parents and its saved arrays, so
+        whatever only the graph held is freed.  Records keep their ``grad``,
+        and leaf records are never consumed.  There is one backward per
+        forward: a walk that reaches a consumed record raises before it
+        changes any gradient.
         """
         if self.value.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.shape}")
-        order = _toposort(self)
+        if self._record is None:
+            raise RuntimeError("backward() needs a node that requires grad")
+        order = _toposort(self._record)
         self.grad = np.ones_like(self.value)
         while order:
-            node = order.pop()
-            if node._backward is not None:
-                if node.grad is not None:
-                    node._backward(node.grad)
-                node._backward, node._parents = _consumed, ()
+            rec = order.pop()
+            if rec.backward is not None:
+                if rec.grad is not None:
+                    rec.backward(rec.grad)
+                rec.backward, rec.parents, rec.saved = _consumed, (), ()
 
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):
@@ -167,34 +205,27 @@ class Node:
         return mul(total, total.size / self.size)
 
 
-def _toposort(root: Node) -> list[Node]:
-    order: list[Node] = []
+def _toposort(root: Record) -> list[Record]:
+    order: list[Record] = []
     seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    stack: list[tuple[Record, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        rec, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(rec)
             continue
-        if id(node) in seen:
+        if id(rec) in seen:
             continue
-        if node._backward is _consumed:
+        if rec.backward is _consumed:
             raise RuntimeError(
                 "backward() reached a graph node that an earlier backward() "
                 "consumed; run the forward pass again (one backward per forward)")
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
+        seen.add(id(rec))
+        stack.append((rec, True))
+        for parent in rec.parents:
+            if id(parent) not in seen:
                 stack.append((parent, False))
     return order
-
-
-def recorded_nodes(root: Node) -> list[Node]:
-    """The op results that the graph under ``root`` holds, root included:
-    what a backward walk from ``root`` keeps alive until it reaches them.
-    Parameters and constants (leaves) are left out."""
-    return [node for node in _toposort(root) if node._backward is not None]
 
 
 def parameter(value, dtype=None) -> Node:
@@ -274,8 +305,9 @@ def _fits(a, like) -> bool:
     return a is not None and a.shape == like.shape and a.dtype == like.dtype
 
 
-def accumulate(node: Node, grad: np.ndarray) -> None:
-    """Add a gradient contribution to ``node`` (no-op for constants).
+def accumulate(rec: Record | None, grad: np.ndarray) -> None:
+    """Add a gradient contribution to the record ``rec`` (no-op for None, a
+    constant's).
 
     A leaf adds into its own gradient buffer in place when ``grad`` has that
     buffer's shape and dtype (a packed parameter's buffer is a view into the
@@ -283,85 +315,56 @@ def accumulate(node: Node, grad: np.ndarray) -> None:
     which broadcasts and upcasts; an op result takes its first contribution
     as it is and rebinds on the next.  A leaf never keeps ``grad`` itself,
     which ``add`` hands to every parent."""
-    if not node.requires_grad:
+    if rec is None:
         return
-    if node.grad is None:
-        node.grad = grad if node._backward is not None else np.array(grad)
-    elif node._backward is None and _fits(grad, node.grad):
-        node.grad += grad
+    if rec.grad is None:
+        rec.grad = grad if rec.backward is not None else np.array(grad)
+    elif rec.backward is None and _fits(grad, rec.grad):
+        rec.grad += grad
     else:
-        node.grad = node.grad + grad
+        rec.grad = rec.grad + grad
 
 
 def make_node(value: np.ndarray, parents: Iterable[Node], backward, *,
               reads: tuple, reads_output: bool = False) -> Node:
-    """Wrap an op result, recording the graph only when gradients flow.
+    """Wrap an op result, giving it a record only when gradients flow.
 
-    ``reads`` are the parents whose values ``backward`` reads, and
-    ``reads_output`` says whether it reads ``value``; every other value it
-    may know only by shape and dtype, which a released value keeps.  A
-    recorded node marks what it reads, so that :func:`release` refuses those
-    values.  An op built on a released parent raises ValueError: its forward
-    read the placeholder, and a declared read would read it again."""
-    parents = tuple(parents)
-    if any(_released(p.value) for p in parents):
-        raise ValueError("an op was built on a released value; "
-                         "release a value only after its last consumer is built")
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        for p in reads:
-            p._read = True
-        node = Node(value, requires_grad=True, parents=parents, backward=backward)
-        node._read = reads_output
-        return node
-    return Node(value)
-
-
-# one shared zero per dtype, which every released value of that dtype views
-_ZEROS: dict[np.dtype, np.ndarray] = {}
+    ``backward(g)`` captures the parents' records and the arrays it reads,
+    never a parent node.  ``reads`` are the parents whose values it reads,
+    and ``reads_output`` says whether it reads ``value``: the record saves
+    those that are op results, not leaves or constants, and the nodes are
+    marked read, which ``relu(inplace=True)`` checks."""
+    node = Node(value)
+    if _GRAD_ENABLED:
+        records = tuple(p._record for p in parents if p._record is not None)
+        if records:
+            for p in reads:
+                p._read = True
+            node._read = reads_output
+            saved = [p.value for p in reads if p._backward is not None]
+            if reads_output:
+                saved.append(node.value)
+            node._record = Record(None, records, backward, tuple(saved))
+    return node
 
 
-def _released(a: np.ndarray) -> bool:
-    return a.base is not None and a.base is _ZEROS.get(a.dtype)
-
-
-def release(*nodes: Node) -> None:
-    """Stop the recorded graph from holding the values of ``nodes``.
-
-    Each value becomes a zero-byte, read-only placeholder with its shape
-    and dtype, so the array lives on only through a caller's own reference.
-    Only the code that made a value knows that no caller reads it again, so
-    that code calls ``release``.  Before any value changes, it raises
-    ValueError for a leaf (a parameter, or an input that requires grad) and
-    for a node whose value a recorded backward reads, a consumer's or its
-    own (see :func:`make_node`).  Outside grad mode, and for a node that no
-    graph records, it does nothing."""
-    if not _GRAD_ENABLED:
-        return
-    recorded = [node for node in nodes if node.requires_grad]
-    for node in recorded:
-        if node._backward is None:
-            raise ValueError("release: a leaf's value is not the graph's to release")
-        if node._read:
-            raise ValueError(f"release: a recorded backward reads this {node.shape} value")
-    for node in recorded:
-        zero = _ZEROS.setdefault(node.dtype, np.zeros((), node.dtype))
-        node.value = np.broadcast_to(zero, node.shape)
-
-
-def owned_bytes(root: Node) -> list[tuple[Node, int]]:
-    """Each op result that the graph under ``root`` holds (``recorded_nodes``)
-    with the bytes its value keeps alive: all of the array whose memory it
-    views, counted at the first node that views it.  A released value owns
-    0 bytes, although its ``nbytes`` still reports its full size."""
+def owned_bytes(root: Node) -> list[tuple[Record, int]]:
+    """Each op record of the graph under ``root`` with the bytes its saved
+    arrays keep alive: all of each array whose memory they view, counted at
+    the first record that saves it.  Leaf records are left out."""
     counted: set[int] = set()
     held = []
-    for node in recorded_nodes(root):
-        block = node.value
-        while isinstance(block.base, np.ndarray):
-            block = block.base
-        owns = not _released(node.value) and id(block) not in counted
-        counted.add(id(block))
-        held.append((node, block.nbytes if owns else 0))
+    for rec in _toposort(root._record):
+        if rec.backward is None:
+            continue
+        size = 0
+        for block in rec.saved:
+            while isinstance(block.base, np.ndarray):
+                block = block.base
+            if id(block) not in counted:
+                counted.add(id(block))
+                size += block.nbytes
+        held.append((rec, size))
     return held
 
 
@@ -392,60 +395,64 @@ def add(a, b, *rest) -> Node:
             raise ShapeError(
                 f"add: operand {v.shape} {v.dtype} does not match the sum {out.shape} {out.dtype}")
         out += v.value
+    targets = [(v._record, v.shape) for v in xs if v._record is not None]
 
     def backward(g):
-        for v in xs:
-            if v.requires_grad:
-                accumulate(v, _unbroadcast(g, v.value.shape))
+        for rec, shape in targets:
+            accumulate(rec, _unbroadcast(g, shape))
 
     return make_node(out, xs, backward, reads=())
 
 
 def mul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    out = a.value * b.value
+    av, bv, ra, rb = a.value, b.value, a._record, b._record
+    out = av * bv
 
     def backward(g):
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+        if ra is not None:
+            accumulate(ra, _unbroadcast(g * bv, av.shape))
+        if rb is not None:
+            accumulate(rb, _unbroadcast(g * av, bv.shape))
 
     return make_node(out, (a, b), backward, reads=(a, b))
 
 
 def div(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    out = a.value / b.value
+    av, bv, ra, rb = a.value, b.value, a._record, b._record
+    out = av / bv
 
     def backward(g):
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(g / b.value, a.value.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
+        if ra is not None:
+            accumulate(ra, _unbroadcast(g / bv, av.shape))
+        if rb is not None:
+            accumulate(rb, _unbroadcast(-g * av / (bv * bv), bv.shape))
 
     return make_node(out, (a, b), backward, reads=(a, b))
 
 
 def power(a, exponent: float) -> Node:
     a = as_node(a)
+    av, ra = a.value, a._record
     exponent = float(exponent)
-    out = a.value ** exponent
+    out = av ** exponent
 
     def backward(g):
-        accumulate(a, g * exponent * a.value ** (exponent - 1.0))
+        accumulate(ra, g * exponent * av ** (exponent - 1.0))
 
     return make_node(out, (a,), backward, reads=(a,))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
     a = as_node(a)
+    shape, ra = a.shape, a._record
     out = a.value.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        accumulate(a, np.broadcast_to(g, a.value.shape).copy())
+        accumulate(ra, np.broadcast_to(g, shape).copy())
 
     return make_node(np.asarray(out), (a,), backward, reads=())

@@ -6,10 +6,9 @@ In eval mode every batch norm that directly follows a conv (``Conv2DN``,
 each atrous branch's second one) is folded into that conv, from the current
 parameters on every call; train mode runs them as two ops.
 
-A recorded forward releases (``autodiff.release``) each value that the
-block made, that only a consumer inside the block reads, and whose
-consumers' backwards read no values: the graph then holds only what some
-backward reads.  A block's output is never released.
+A recorded graph keeps only the values that some backward reads
+(``autodiff.make_node``), so a value that only a sum, a concat or a pooling
+consumes is freed as soon as the block drops it.
 """
 
 from __future__ import annotations
@@ -90,11 +89,10 @@ class ResBlockA(Module):
 
     The summation order is fixed: identity first, then branches in ascending
     dilation order, added left to right into one buffer.  A recorded forward
-    makes that a single ``add`` node that keeps no partial sums, and then
-    releases the branch outputs, since the sum's backward reads no values;
-    without a graph the buffer is x plus the first branch output, and each
-    later branch output is added into it as soon as it is made.  Both give
-    the same bits.
+    makes that a single ``add`` node that keeps no partial sums and reads no
+    branch output; without a graph the buffer is x plus the first branch
+    output, and each later branch output is added into it as soon as it is
+    made.  Both give the same bits.
     """
 
     def __init__(self, cfg: BlockConfig, *, rng: np.random.Generator, dtype=np.float32):
@@ -111,11 +109,7 @@ class ResBlockA(Module):
                 f"resblock_a: input has {x.shape[1]} channels but the block expects "
                 f"{self.cfg.filters}; insert a preceding 1x1 conv2dn to match channel counts")
         if autodiff.is_grad_enabled():
-            # one node keeps no partial sums, and reads no branch output
-            outs = [branch(x) for branch in self.branches]
-            total = autodiff.add(x, *outs)
-            autodiff.release(*outs)
-            return total
+            return autodiff.add(x, *[branch(x) for branch in self.branches])
         # no graph: add each branch output as it comes, so one lives at a time
         branches = iter(self.branches)
         out = x.value + next(branches)(x).value
@@ -137,9 +131,7 @@ class PSPPooling(Module):
     broadcast back; the pooled groups are concatenated with the original
     input and fused by a 1x1 normed convolution restoring the channel count.
     Scales that do not divide the plane are always dropped (``clamp_scales``),
-    so a plane smaller than the largest grid still pools.  A recorded forward
-    releases each channel slice once it is pooled and the pooled groups once
-    they are concatenated: the pooling and the concat read no values.
+    so a plane smaller than the largest grid still pools.
     """
 
     def __init__(self, channels: int, scales: tuple[int, ...] = (1, 2, 4, 8), *,
@@ -159,20 +151,15 @@ class PSPPooling(Module):
                 f"psp_pooling: input has {c} channels, block expects {self.channels}")
         scales = clamp_scales(self.scales, h, w)
         edges = np.linspace(0, c, len(scales) + 1).astype(int)
-        pooled = []
-        for s, a, b in zip(scales, edges[:-1], edges[1:]):
-            part = nnops.channel_slice(x, a, b)
-            pooled.append(nnops.max_pool_grid(part, cells=s))
-            autodiff.release(part)
-        cat = nnops.concat_channels(pooled + [x])
-        autodiff.release(*pooled)
-        return self.fuse(cat)
+        # each slice dies once pooled, and the pooled groups once concatenated
+        return self.fuse(nnops.concat_channels(
+            [nnops.max_pool_grid(nnops.channel_slice(x, a, b), cells=s)
+             for s, a, b in zip(scales, edges[:-1], edges[1:])] + [x]))
 
 
 class Combine(Module):
     """Fuse a decoder feature map with a skip connection (Table-2 style):
-    ReLU on the first input, channel concat, 1x1 normed conv to ``filters``.
-    A recorded forward releases the ReLU output once it is concatenated."""
+    ReLU on the first input, channel concat, 1x1 normed conv to ``filters``."""
 
     def __init__(self, in_channels_a: int, in_channels_b: int, filters: int, *,
                  rng: np.random.Generator, dtype=np.float32):
@@ -184,10 +171,7 @@ class Combine(Module):
         if a.shape[2:] != b.shape[2:]:
             raise ShapeError(
                 f"combine: spatial mismatch {a.shape} vs {b.shape}; upsample first")
-        rectified = nnops.relu(a)
-        cat = nnops.concat_channels([rectified, b])
-        autodiff.release(rectified)
-        return self.fuse(cat)
+        return self.fuse(nnops.concat_channels([nnops.relu(a), b]))
 
 
 class UpSampleBlock(Module):

@@ -62,6 +62,7 @@ def _similarity(loss_id: str, p, l, weights, eps: float) -> Node:
     class (axis 1) and weighted; the gradient in p is the per-class affine
     map d(sum p) + d(sum p*l)*l + 2*d(sum p^2)*p, returned in p's dtype."""
     p, l = as_node(p), as_node(l).value
+    shape, dtype, rp = p.shape, p.dtype, p._record
     if l.shape != p.shape:
         raise ShapeError(f"prediction shape {p.shape} and target shape {l.shape} differ")
     if weights is None:
@@ -87,7 +88,7 @@ def _similarity(loss_id: str, p, l, weights, eps: float) -> Node:
         gp = p3 * c
         gp += l3 * b
         gp += a
-        accumulate(p, gp.astype(p.dtype, copy=False).reshape(p.shape))
+        accumulate(rp, gp.astype(dtype, copy=False).reshape(shape))
 
     return make_node(value, (p,), backward, reads=(p,))
 

@@ -7,11 +7,10 @@ a mirrored decoder with skip combinations back to full resolution.  d7 adds
 one more encoder/decoder level; its middle is either a 2x2-max-pool fusion
 (v1) or the reduced pyramid pooling over scales {1,2,4} (v2).
 
-A recorded forward releases (``autodiff.release``) the values whose one
-consumer's backward does not read them: the v1 middle's pooled map once it
-is concatenated, and every head logit once its sigmoid or softmax, which
-reads its own output, is made.  The head outputs are never released:
-callers read them.
+A recorded graph keeps only the values some backward reads, so the trunk and
+heads hold no other activation past its last use: a head logit dies once its
+sigmoid or softmax (which reads its own output) is made, and a decoder
+block's output once the next upsample (which reads nothing) is made.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff, fileio, nnops
+from . import fileio, nnops
 from .autodiff import Node, ShapeError, as_node, pack_parameters
 from .blocks import BlockConfig, Combine, Conv2DN, PSPPooling, ResBlockA, UpSampleBlock
 from .modules import Conv2d, Module, ModuleList
@@ -101,16 +100,13 @@ class _MiddleV1(Module):
     # 2x2 max pooling broadcast back over each pooled block, concatenated with
     # the input and fused by a biased 1x1 convolution.  The map is square with
     # even sides, which ModelSpec.check_image_size asks of the model input.
-    # The concat reads no values, so the pooled map is released after it.
     def __init__(self, channels, rng):
         super().__init__()
         self.proj = Conv2d(2 * channels, channels, 1, bias=True, rng=rng)
 
     def forward(self, x) -> Node:
-        pooled = nnops.max_pool_grid(x, cells=x.shape[2] // 2)
-        cat = nnops.concat_channels([pooled, x])
-        autodiff.release(pooled)
-        return self.proj(cat)
+        return self.proj(nnops.concat_channels(
+            [nnops.max_pool_grid(x, cells=x.shape[2] // 2), x]))
 
 
 class _Trunk(Module):
@@ -158,7 +154,8 @@ class _Trunk(Module):
                 h = self.down[i](h)
         h = self.middle(h)
         for up, merge, block in zip(self.up, self.merge, self.decoder):
-            h = block(merge(up(h), skips.pop()))
+            h = up(h)  # frees the level below's output, which no backward reads
+            h = block(merge(h, skips.pop()))
         return self.final(h, e0)
 
 
@@ -176,14 +173,6 @@ class _RegressionBranch(Module):
         return self.logit(self.c2(h, relu=True))
 
 
-def _squash(fn, logit: Node) -> Node:
-    """``fn(logit)`` for sigmoid or softmax_channel, whose backward reads
-    only its own output, with the logit released."""
-    out = fn(logit)
-    autodiff.release(logit)
-    return out
-
-
 class _SingleHead(Module):
     def __init__(self, channels, n_classes, rng):
         super().__init__()
@@ -192,7 +181,7 @@ class _SingleHead(Module):
 
     def forward(self, x) -> MultiHeadOutput:
         return MultiHeadOutput(
-            segmentation=_squash(nnops.softmax_channel, self.logit(self.psp(x))))
+            segmentation=nnops.softmax_channel(self.logit(self.psp(x))))
 
 
 class _MtskHead(Module):
@@ -211,10 +200,10 @@ class _MtskHead(Module):
     def forward(self, x) -> MultiHeadOutput:
         pooled = self.psp(x)
         return MultiHeadOutput(
-            segmentation=_squash(nnops.softmax_channel, self.seg_logit(pooled)),
-            boundary=_squash(nnops.sigmoid, self.bound_logit(pooled)),
-            distance=_squash(nnops.sigmoid, self.distance(x)),
-            color=_squash(nnops.sigmoid, self.color(x)))
+            segmentation=nnops.softmax_channel(self.seg_logit(pooled)),
+            boundary=nnops.sigmoid(self.bound_logit(pooled)),
+            distance=nnops.sigmoid(self.distance(x)),
+            color=nnops.sigmoid(self.color(x)))
 
 
 class _CmtskHead(Module):
@@ -231,14 +220,13 @@ class _CmtskHead(Module):
         self.color = _RegressionBranch(channels, 3, rng)
 
     def forward(self, x) -> MultiHeadOutput:
-        dist = _squash(nnops.sigmoid, self.distance(x))
+        dist = nnops.sigmoid(self.distance(x))
         pooled = self.psp(x)
-        bound = _squash(nnops.sigmoid,
-                        self.bound_logit(nnops.concat_channels([pooled, dist])))
-        seg = _squash(nnops.softmax_channel,
-                      self.seg_logit(nnops.concat_channels([pooled, dist, bound])))
+        bound = nnops.sigmoid(self.bound_logit(nnops.concat_channels([pooled, dist])))
+        seg = nnops.softmax_channel(
+            self.seg_logit(nnops.concat_channels([pooled, dist, bound])))
         return MultiHeadOutput(segmentation=seg, boundary=bound, distance=dist,
-                               color=_squash(nnops.sigmoid, self.color(x)))
+                               color=nnops.sigmoid(self.color(x)))
 
 
 _HEAD_CLASSES = {"single": _SingleHead, "mtsk": _MtskHead, "cmtsk": _CmtskHead}

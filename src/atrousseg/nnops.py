@@ -34,10 +34,11 @@ def relu(x, inplace: bool = False) -> Node:
     x = as_node(x)
     if inplace and x._read:
         raise ValueError("relu(inplace=True): a recorded backward reads the input's value")
-    out = np.maximum(x.value, 0, out=x.value if inplace else None)
+    xv, rx = x.value, x._record
+    out = np.maximum(xv, 0, out=xv if inplace else None)
 
     def backward(g):
-        accumulate(x, g * (x.value > 0))
+        accumulate(rx, g * (xv > 0))
 
     return make_node(out, (x,), backward, reads=(x,))
 
@@ -45,13 +46,14 @@ def relu(x, inplace: bool = False) -> Node:
 def sigmoid(x) -> Node:
     """Logistic function as 0.5*tanh(0.5*x) + 0.5: inside [0, 1], no overflow."""
     x = as_node(x)
+    rx = x._record
     out = x.value * 0.5
     np.tanh(out, out=out)
     out *= 0.5
     out += 0.5
 
     def backward(g):
-        accumulate(x, g * out * (1.0 - out))
+        accumulate(rx, g * out * (1.0 - out))
 
     return make_node(out, (x,), backward, reads=(), reads_output=True)
 
@@ -61,13 +63,14 @@ def softmax_channel(x) -> Node:
     x = as_node(x)
     if x.ndim < 2:
         raise ShapeError(f"softmax_channel needs a channel axis, got shape {x.shape}")
+    rx = x._record
     z = x.value - x.value.max(axis=1, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
         inner = (g * out).sum(axis=1, keepdims=True)
-        accumulate(x, out * (g - inner))
+        accumulate(rx, out * (g - inner))
 
     return make_node(out, (x,), backward, reads=(), reads_output=True)
 
@@ -91,8 +94,8 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     all land in the padding (common for large dilations on small planes) is
     skipped, forward and backward.  Stride 2 reads the even input pixels of
     a 1x1 kernel and keeps the even output pixels of the stride-1 result of
-    a wider one.  Backward rebuilds the flat input from the input node's
-    value instead of keeping it alive.
+    a wider one.  Backward rebuilds the flat input from the input's value,
+    which the record saves, instead of keeping the flat copy alive.
 
     A call of at least _SPLIT_MACS (2^22) multiply-adds cuts every tap's
     forward and input-gradient GEMM at one fixed 64-aligned column of the
@@ -108,7 +111,8 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
     x, w = as_node(x), as_node(w)
     plan = _plan(x.shape, w.shape, stride, dilation, x.dtype, w.dtype)
     n, gap, h, wd, p, pre, step = plan.n, plan.gap, plan.h, plan.wd, plan.p, plan.pre, plan.step
-    xs = x.value[:, :, ::pre, ::pre]
+    xv, wv, rx, rw = x.value, w.value, x._record, w._record
+    xs = xv[:, :, ::pre, ::pre]
 
     def crop(a, step):
         """The (n, c, h, wd) pixels of flat rows a, every step-th one."""
@@ -125,31 +129,32 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1) -> Node:
 
     # each live tap's contiguous (cout, cin) weights: a view, not a copy,
     # when w is tap-major as Conv2d builds it
-    mats = [np.ascontiguousarray(w.value[:, :, i, j]) for i, j, *_ in plan.taps]
+    mats = [np.ascontiguousarray(wv[:, :, i, j]) for i, j, *_ in plan.taps]
     acc = np.empty((n, plan.cout, plan.cols), plan.dtype)
     _tap_gemms(acc, plan.forward, mats, flat(xs, 1))
     out = np.ascontiguousarray(crop(acc, step))
+    parents, rb = (x, w), None
     if b is not None:
         b = as_node(b)
         out += b.value[:, None, None]
+        parents, rb = (x, w, b), b._record
 
     def backward(g):
         gp = flat(g, step)
-        if w.requires_grad:
-            accumulate(w, _tap_weight_grad(w.value, plan.taps, gp, flat(xs, 1)))
-        if b is not None and b.requires_grad:
-            accumulate(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
+        if rw is not None:
+            accumulate(rw, _tap_weight_grad(wv, plan.taps, gp, flat(xs, 1)))
+        if rb is not None:
+            accumulate(rb, g.sum(axis=(0, 2, 3)))
+        if rx is not None:
             # x's dtype, even when g is wider
-            gxp = np.empty((n, plan.cin, plan.cols), x.dtype)
+            gxp = np.empty((n, plan.cin, plan.cols), xv.dtype)
             _tap_gemms(gxp, plan.backward, [m.T for m in mats], gp)
             gx = np.ascontiguousarray(crop(gxp, 1))
             if pre > 1:
-                gx, strided = np.zeros_like(x.value), gx
+                gx, strided = np.zeros_like(xv), gx
                 gx[:, :, ::pre, ::pre] = strided
-            accumulate(x, gx)
+            accumulate(rx, gx)
 
-    parents = (x, w) if b is None else (x, w, b)
     return make_node(out, parents, backward, reads=(x, w))
 
 
@@ -289,11 +294,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     blocks fold that scale and shift into the conv instead
     (:func:`fold_batch_norm`).
 
-    Backward recomputes the centred input ``d = x - mean`` from the input
-    node's value instead of keeping it alive.  Two per-channel sums, sum(g)
-    and sum(g*d), give every gradient (Ioffe & Szegedy 2015,
-    arXiv:1502.03167): the input gradient is the per-channel affine map
-    a*g + b*d + c, where a = gamma*invstd, and b and c are zero in eval mode.
+    Backward recomputes the centred input ``d = x - mean`` from the input's
+    value, which the record saves, instead of keeping d alive.  Two
+    per-channel sums, sum(g) and sum(g*d), give every gradient (Ioffe &
+    Szegedy 2015, arXiv:1502.03167): the input gradient is the per-channel
+    affine map a*g + b*d + c, where a = gamma*invstd, and b and c are zero in
+    eval mode.
 
     ``relu=True`` gives ``relu(batch_norm(...))`` bit for bit as one node: the
     output is rectified in place, and backward masks g with out > 0, which
@@ -304,11 +310,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     x, gamma, beta = as_node(x), as_node(gamma), as_node(beta)
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got shape {x.shape}")
+    xv, rx, rgamma, rbeta = x.value, x._record, gamma._record, beta._record
     axes = (0, 2, 3)
     m = x.shape[0] * x.shape[2] * x.shape[3]
 
     def centred(dtype):
-        return np.subtract(x.value, mean[:, None, None], dtype=dtype)
+        return np.subtract(xv, mean[:, None, None], dtype=dtype)
 
     def channel_dot(u, v):
         # one BLAS dot per image row, then a pairwise sum over images and
@@ -338,22 +345,22 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         scale = gamma.value * invstd
         out = x.value * scale[:, None, None]
         out += (beta.value - mean * scale)[:, None, None]
-    if relu:
-        np.maximum(out, 0, out=out)
+    # the closure holds the output only when it masks g with it
+    rectified = np.maximum(out, 0, out=out) if relu else None
 
     def backward(g):
         if relu:
-            g = g * (out > 0)
-        d = centred(np.result_type(x.value, g))
+            g = g * (rectified > 0)
+        d = centred(np.result_type(xv, g))
         gsum, gdsum = g.sum(axis=axes), channel_dot(g, d)
-        if gamma.requires_grad:
-            accumulate(gamma, invstd * gdsum)
-        if beta.requires_grad:
-            accumulate(beta, gsum)
-        if not x.requires_grad:
+        if rgamma is not None:
+            accumulate(rgamma, invstd * gdsum)
+        if rbeta is not None:
+            accumulate(rbeta, gsum)
+        if rx is None:
             return
         if not training:
-            accumulate(x, g * scale[:, None, None])
+            accumulate(rx, g * scale[:, None, None])
             return
         # a*g + b*d + c with b = -a*invstd**2*gdsum/m and c = -a*gsum/m,
         # built in d as a*(g + (b/a)*d + c/a)
@@ -361,7 +368,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
         d += g
         d -= (gsum / m)[:, None, None]
         d *= scale[:, None, None]
-        accumulate(x, d)
+        accumulate(rx, d)
 
     return make_node(out, (x, gamma, beta), backward, reads=(x,), reads_output=relu)
 
@@ -375,24 +382,25 @@ def fold_batch_norm(w, gamma, beta, running_mean, running_var, dtype) -> tuple[N
     al. 2018, arXiv:1712.05877).  Backward: gw = g_w*s,
     ggamma = invstd*(sum(g_w*w) - mean*g_b), gbeta = g_b."""
     w, gamma, beta = as_node(w), as_node(gamma), as_node(beta)
+    wv, rw, rgamma, rbeta = w.value, w._record, gamma._record, beta._record
     # copies: a train-mode call made before backward updates the buffers
     mean = running_mean.astype(dtype)
     invstd = 1.0 / np.sqrt(running_var.astype(dtype, copy=False) + _BN_EPS)
     scale = gamma.value * invstd
-    wf = w.value * scale[:, None, None, None]
+    wf = wv * scale[:, None, None, None]
     bf = beta.value - mean * scale
 
     def w_backward(g):
-        if w.requires_grad:
-            accumulate(w, g * scale[:, None, None, None])
-        if gamma.requires_grad:
-            accumulate(gamma, invstd * (g * w.value).sum(axis=(1, 2, 3)))
+        if rw is not None:
+            accumulate(rw, g * scale[:, None, None, None])
+        if rgamma is not None:
+            accumulate(rgamma, invstd * (g * wv).sum(axis=(1, 2, 3)))
 
     def b_backward(g):
-        if gamma.requires_grad:
-            accumulate(gamma, -invstd * mean * g)
-        if beta.requires_grad:
-            accumulate(beta, g)
+        if rgamma is not None:
+            accumulate(rgamma, -invstd * mean * g)
+        if rbeta is not None:
+            accumulate(rbeta, g)
 
     return (make_node(wf, (w, gamma), w_backward, reads=(w,)),
             make_node(bf, (gamma, beta), b_backward, reads=()))
@@ -410,7 +418,7 @@ def max_pool_grid(x, cells: int) -> Node:
     if h % cells or w % cells:
         raise ShapeError(
             f"max_pool_grid: spatial extents ({h}, {w}) must be divisible by cells={cells}")
-    hc, wc = h // cells, w // cells
+    hc, wc, rx = h // cells, w // cells, x._record
     # (n, c, cells, cells, hc*wc) with each rectangle flattened row-major
     rect = (x.value.reshape(n, c, cells, hc, cells, wc)
             .transpose(0, 1, 2, 4, 3, 5)
@@ -431,7 +439,7 @@ def max_pool_grid(x, cells: int) -> Node:
         gx = (buf.reshape(n, c, cells, cells, hc, wc)
               .transpose(0, 1, 2, 4, 3, 5)
               .reshape(n, c, h, w))
-        accumulate(x, gx)
+        accumulate(rx, gx)
 
     return make_node(out, (x,), backward, reads=())
 
@@ -444,12 +452,13 @@ def nearest_upsample(x, factor: int) -> Node:
     if factor < 2:
         raise ValueError(f"nearest_upsample factor must be >= 2, got {factor}")
     n, c, h, w = x.shape
+    rx = x._record
     out = np.broadcast_to(x.value[:, :, :, None, :, None],
                           (n, c, h, factor, w, factor))
     out = np.ascontiguousarray(out).reshape(n, c, h * factor, w * factor)
 
     def backward(g):
-        accumulate(x, g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
+        accumulate(rx, g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
 
     return make_node(out, (x,), backward, reads=())
 
@@ -464,10 +473,12 @@ def concat_channels(xs) -> Node:
                 f"concat_channels: incompatible shapes {base} vs {v.shape}")
     out = np.concatenate([v.value for v in xs], axis=1)
     offsets = np.cumsum([0] + [v.shape[1] for v in xs])
+    targets = [(v._record, a, b) for v, a, b in zip(xs, offsets[:-1], offsets[1:])
+               if v._record is not None]
 
     def backward(g):
-        for v, a, b in zip(xs, offsets[:-1], offsets[1:]):
-            accumulate(v, g[:, a:b])
+        for rec, a, b in targets:
+            accumulate(rec, g[:, a:b])
 
     return make_node(out, tuple(xs), backward, reads=())
 
@@ -475,11 +486,12 @@ def concat_channels(xs) -> Node:
 def channel_slice(x, start: int, stop: int) -> Node:
     """Copy channels [start, stop) out as a differentiable slice."""
     x = as_node(x)
+    shape, dtype, rx = x.shape, x.dtype, x._record
     out = x.value[:, start:stop].copy()
 
     def backward(g):
-        gx = np.zeros(x.shape, x.dtype)
+        gx = np.zeros(shape, dtype)
         gx[:, start:stop] = g
-        accumulate(x, gx)
+        accumulate(rx, gx)
 
     return make_node(out, (x,), backward, reads=())

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atrousseg.autodiff import (Node, ShapeError, add, as_node, div,
-                                is_grad_enabled, mul, no_grad, owned_bytes,
-                                pack_parameters, parameter, release)
+                                is_grad_enabled, make_node, mul, no_grad,
+                                owned_bytes, pack_parameters, parameter)
 from conftest import numeric_gradient, rel_err
 
 TOL = 1e-7
@@ -105,7 +105,7 @@ class TestConsumedGraph:
         h = x * 2.0
         (h * h).sum().backward()
         assert np.array_equal(h.grad, 2 * h.value)
-        assert h._parents == ()
+        assert h._record.parents == ()
         assert np.array_equal(x.grad, 8 * x.value)
 
     def test_leaves_survive_for_the_next_forward(self):
@@ -127,64 +127,60 @@ class TestConsumedGraph:
         assert probe() is None
 
 
-class TestRelease:
-    """``release`` drops a recorded value that no backward reads, and
-    refuses any other."""
+class TestSavedValues:
+    """The graph keeps the arrays that backward saves, not the values."""
 
-    def test_released_value_keeps_shape_and_dtype_and_owns_nothing(self):
+    def test_value_no_record_saves_dies_with_its_node(self):
         x = parameter(np.array([1.0, -2.0, 3.0], np.float32))
         h = x * np.float32(3.0)
         loss = add(h, 1.0).sum()  # add and sum read no values
-        assert dict((id(n), b) for n, b in owned_bytes(loss))[id(h)] == h.value.nbytes
-        release(h)
-        assert h.shape == (3,) and h.dtype == np.float32
-        assert not h.value.flags.writeable and h.value.nbytes == 12
-        assert dict((id(n), b) for n, b in owned_bytes(loss))[id(h)] == 0
+        probe = weakref.ref(h.value)
+        del h
+        assert probe() is None  # before backward
         loss.backward()
         assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
-
-    def test_value_a_recorded_backward_reads_is_refused_and_kept(self):
-        x = parameter(np.array([1.0, -2.0]))
-        h, kept = x * 3.0, x * 5.0
-        _ = h * h  # mul reads both operands
-        before = h.value.copy()
-        with pytest.raises(ValueError, match="reads"):
-            release(kept, h)
-        assert np.array_equal(h.value, before) and kept.value.flags.writeable
-
-    def test_op_built_on_a_released_parent_raises(self):
-        x = parameter(np.array([1.0, -2.0]))
-        h = x * 3.0
-        _ = add(h, 1.0)
-        release(h)
-        with pytest.raises(ValueError, match="released"):
-            h * 2.0  # mul reads h in backward
-        with pytest.raises(ValueError, match="released"):
-            add(h, 1.0)  # add reads no value in backward, but did in forward
-
-    def test_does_nothing_under_no_grad(self):
-        x = parameter(np.array([1.0, -2.0]))
-        h = x * 3.0
-        with no_grad():
-            release(h)
-            c = x * 3.0
-            release(c)
-        assert h.value.flags.writeable and np.array_equal(h.value, [3.0, -6.0])
-        assert np.array_equal(c.value, [3.0, -6.0])
-
-    def test_leaf_is_refused(self):
-        x = parameter(np.array([1.0, -2.0]))
-        with pytest.raises(ValueError, match="leaf"):
-            release(x)
-        assert x.value.flags.writeable
 
     def test_owned_bytes_counts_a_shared_array_once(self):
         x = parameter(np.ones(4))
         h = x * 2.0
-        loss = (Node(h.value.reshape(2, 2), requires_grad=True, parents=(h,),
-                     backward=lambda g: None).sum() + h.sum())
-        sizes = sorted(b for n, b in owned_bytes(loss) if n.size == 4)
+        # one record saves h's value and a view of it, a second saves h again
+        v = make_node(h.value.reshape(2, 2), (h,), lambda g: None, reads=(h,),
+                      reads_output=True)
+        loss = v.sum() + (h * h).sum()
+        sizes = sorted(b for rec, b in owned_bytes(loss) if rec.saved)
         assert sizes == [0, 32]
+
+
+class TestBackwardAttribute:
+    """``Node._backward``, which a tracer reads and wraps: None without a
+    graph, and on a recorded result the closure the walk calls."""
+
+    def test_none_on_a_no_graph_result(self):
+        x = parameter(np.ones(3))
+        with no_grad():
+            assert (x * 2.0)._backward is None
+        assert x._backward is None and as_node(np.ones(3))._backward is None
+
+    def test_a_wrapper_is_what_the_walk_calls(self, rng):
+        x0, t = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+
+        def run(wrap):
+            x = parameter(x0)
+            out = x * 3.0
+            closure, seen = out._backward, []
+            assert callable(closure)
+            if wrap:
+                def wrapper(g):
+                    seen.append(g.tobytes())
+                    closure(g)
+                out._backward = wrapper
+                assert out._backward is wrapper
+            (out * t).sum().backward()  # out's upstream gradient is t exactly
+            return x.grad.tobytes(), seen
+
+        plain, _ = run(False)
+        wrapped, seen = run(True)
+        assert wrapped == plain and seen == [t.tobytes()]
 
 
 class TestBroadcastGradients:
@@ -346,7 +342,7 @@ class TestNaryAdd:
         x = parameter(rng.normal(size=(3, 4)))
         parents = [x * 1.0, x * 2.0, x * 3.0]
         out = add(*parents)
-        assert out._parents == tuple(parents)
+        assert out._record.parents == tuple(p._record for p in parents)
         t = rng.normal(size=(3, 4))
         (out * t).sum().backward()  # out's upstream gradient is t exactly
         assert parents[0].grad is parents[1].grad is parents[2].grad

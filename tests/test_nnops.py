@@ -8,8 +8,8 @@ import pytest
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from atrousseg import nnops
-from atrousseg.autodiff import Node, ShapeError, parameter
+from atrousseg import autodiff, losses, nnops
+from atrousseg.autodiff import Node, Record, ShapeError, make_node, parameter
 from atrousseg.nnops import (batch_norm, channel_slice, concat_channels,
                              conv2d, fold_batch_norm, max_pool_grid,
                              nearest_upsample, relu, sigmoid, softmax_channel)
@@ -112,7 +112,9 @@ def im2col_conv2d(x, w, b, stride, dilation, g):
 
 def upstream(value):
     """A non-leaf node whose .grad is exactly what its consumer passes back."""
-    return Node(value, requires_grad=True, backward=lambda g: None)
+    node = Node(value)
+    node._record = Record(backward=lambda g: None)
+    return node
 
 
 def backprop(out, g):
@@ -585,7 +587,7 @@ class TestBatchNormRelu:
         x = parameter(rng.normal(size=(2, 2, 3, 3)))
         out = batch_norm(x, parameter(np.ones(2)), parameter(np.zeros(2)),
                          np.zeros(2), np.ones(2), training=True, relu=True)
-        assert out._parents[0] is x
+        assert out._record.parents[0] is x._record
         assert (out.value >= 0).all()
 
 
@@ -808,18 +810,6 @@ class TestUpsampleAndFriends:
             concat_channels([a, b])
 
 
-def _graph(root):
-    """Every node under root, leaves and constants included."""
-    seen, stack, nodes = set(), [root], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
-
-
 def _extra_read_cases(rng):
     """fold_batch_norm and relu(inplace=True), which criterion 1 leaves out,
     and the ops that read their own output with a consumer that reads
@@ -858,11 +848,23 @@ class TestDeclaredReads:
 
     @pytest.mark.parametrize("label,params,forward", _READ_CASES,
                              ids=[case[0] for case in _READ_CASES])
-    def test_undeclared_values_are_not_read(self, label, params, forward):
+    def test_undeclared_values_are_not_read(self, monkeypatch, label, params, forward):
+        made = {}  # every op result and every parent of one, by id
+
+        def recording(value, parents, backward, **declared):
+            parents = tuple(parents)
+            node = make_node(value, parents, backward, **declared)
+            made.update((id(n), n) for n in (node, *parents))
+            return node
+
+        for module in (autodiff, nnops, losses):
+            monkeypatch.setattr(module, "make_node", recording)
+
         def grads(swap):
+            made.clear()
             nodes = {k: parameter(np.array(v)) for k, v in params.items()}
             loss = forward(nodes)
-            unread = [node for node in _graph(loss) if not node._read] if swap else []
+            unread = [node for node in made.values() if not node._read] if swap else []
             for node in unread:
                 if node.value.flags.writeable:
                     node.value[...] = np.nan
