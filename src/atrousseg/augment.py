@@ -4,7 +4,9 @@ Warps touch only the image and the integer mask; every derived channel
 (one-hot, boundary, distance, HSV) is re-derived afterwards, because e.g. a
 warped distance transform is not the distance transform of the warped mask.
 The warp imports scipy itself, as labels does, so that a process that
-derives no labels never loads it.
+derives no labels never loads it.  Image channels and the mask warp
+independently, so ``labels.for_each_plane`` spreads them over the calling
+thread and its shared worker.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import SampleRecord, derive_record
+from .labels import SampleRecord, derive_record, for_each_plane
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,15 @@ def _affine_warp(record: SampleRecord, angle_deg: float,
     offset = c - matrix @ c
     # scipy interpolates in float64 and rounds once on storing each channel.
     image = np.empty_like(record.image)
-    for ch, out in zip(record.image, image):
-        ndimage.affine_transform(ch, matrix, offset=offset, output=out,
-                                 order=1, mode="mirror")
-    mask = ndimage.affine_transform(record.mask, matrix, offset=offset,
-                                    order=0, mode="mirror")
+    mask = np.empty_like(record.mask)
+    sources = (*record.image, record.mask)
+    outputs = (*image, mask)
+
+    def warp(i):
+        ndimage.affine_transform(sources[i], matrix, offset=offset, output=outputs[i],
+                                 order=0 if i == len(image) else 1, mode="mirror")
+
+    for_each_plane(warp, len(sources), mask.size)
     return derive_record(image, mask, record.n_classes)
 
 

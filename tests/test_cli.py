@@ -162,6 +162,23 @@ class TestSynthAndLabels:
             for name in ("onehot", "boundary", "distance"):
                 assert fileio.read_nct(out / f"record_{i:04d}.{name}.nct").shape == (3, 64, 64)
 
+    def test_derive_labels_workers_write_the_same_bytes_at_256px(self, tmp_path, capsys):
+        """256 px planes take labels' two-thread path inside each --workers
+        thread; the files match a single record-level thread byte for byte."""
+        data = {"kind": "synthetic", "size": 256, "n_classes": 6, "n_images": 4, "seed": 3,
+                "split": [0.5, 0.25, 0.25]}
+        ds = tmp_path / "ds"
+        assert main(["synth", "--config", str(write_config(tmp_path, data=data,
+                                                         out_dir=str(ds)))]) == 0
+        files = {}
+        for n in (1, 2):
+            out = tmp_path / f"labels{n}"
+            assert main(["derive-labels", "--data", str(ds), "--out", str(out),
+                         "--workers", str(n)]) == 0
+            files[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(files[1]) == 16
+        assert files[1] == files[2]
+
     def test_derive_labels_data_error_writes_nothing(self, tmp_path, capsys):
         ds = self.synth_dataset(tmp_path, capsys)
         out = tmp_path / "labels"

@@ -1,12 +1,16 @@
 """Inference and checkpoint paths run without scipy, and so do the one-hot
 and boundary targets; only the distance transform and augmentation load it.
-Nothing on the model path starts a thread of its own."""
+Nothing on the model path starts a thread of its own, nor does label work on
+small planes; label work on large planes starts one shared worker, and a
+forked child starts its own."""
 
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -81,6 +85,86 @@ def test_model_path_starts_no_thread(tmp_path):
     in two pieces start no thread and load no thread pool."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run([sys.executable, "-c", THREAD_SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-1] == "ok"
+
+
+# Runs in a fresh interpreter, which has one thread.
+SMALL_LABELS_SCRIPT = textwrap.dedent("""
+    import sys
+    import threading
+
+    import numpy as np
+
+    from atrousseg import augment, labels, synth
+
+    assert "concurrent.futures" not in sys.modules, "importing labels loaded concurrent.futures"
+
+    for i, scene in enumerate(synth.generate(synth.SceneSpec(size=64, n_classes=4, n_images=3))):
+        rec = labels.derive_record(scene.image, scene.mask, 4)
+        augment.augment_record(rec, augment.AugmentConfig(), np.random.default_rng(i))
+    # scipy.ndimage loads concurrent.futures itself (through numpy.testing),
+    # so the check is that labels made no executor.
+    assert labels._worker is None, "labels started its worker"
+    assert threading.active_count() == 1, threading.enumerate()
+    print("ok")
+""")
+
+
+def test_small_label_work_starts_no_thread():
+    """Deriving and augmenting 64 px records stays on the calling thread."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", SMALL_LABELS_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-1] == "ok"
+
+
+# Runs in a fresh interpreter, which has one thread.
+FORK_SCRIPT = textwrap.dedent("""
+    import os
+    import threading
+    import time
+
+    from atrousseg import labels, synth
+
+    scenes = synth.generate(synth.SceneSpec(size=256, n_classes=6, n_images=2, seed=5))
+
+    def derive(scene):
+        return labels.derive_record(scene.image, scene.mask, 6)
+
+    want = derive(scenes[1]).distance.tobytes()
+    derive(scenes[0])
+    assert threading.active_count() == 2, threading.enumerate()
+
+    pid = os.fork()
+    if pid == 0:  # the child: the parent's worker thread is not here
+        ok = derive(scenes[1]).distance.tobytes() == want and threading.active_count() == 2
+        os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        raise AssertionError("the forked child's derive did not finish in 60 s")
+    assert os.waitstatus_to_exitcode(status) == 0, "the child derived wrong or started no worker"
+    print("ok")
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs fork and two CPUs")
+def test_large_label_work_shares_one_worker_across_fork():
+    """256 px derives leave exactly one extra thread, and a child forked
+    after them derives with a worker of its own."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split()[-1] == "ok"

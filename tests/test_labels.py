@@ -1,7 +1,13 @@
 """Ground-truth derivation oracles: hand enumerations, brute-force boundary
-and distance scans, color round-trips, and a byte digest of derived scenes."""
+and distance scans, color round-trips, a byte digest of derived scenes, and
+the two-thread per-plane helper."""
 
+import concurrent.futures
 import hashlib
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from atrousseg import augment, synth
-from atrousseg.labels import (derive_record, get_boundary, get_distance,
+from atrousseg import augment, labels, synth
+from atrousseg.labels import (PARALLEL_MIN_PX, derive_record, for_each_plane, get_boundary, get_distance,
                               hsv_to_rgb, one_hot, rgb_to_hsv)
 
 CROSS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -302,3 +308,150 @@ class TestDeriveRecord:
                     digest.update(a.tobytes())
         assert digest.hexdigest() == (
             "a522d317806d77c9a0b4950253ea1468deddefd888fc0a18ffb2d313465923df")
+
+
+def _set_cpus(monkeypatch, n):
+    """Make this process see n CPUs, as the helper counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _run_with_timeout(fn, seconds=20.0):
+    """Run fn on a daemon thread; fail if it has not returned in time."""
+    done = []
+    t = threading.Thread(target=lambda: done.append(fn()), daemon=True)
+    t.start()
+    t.join(seconds)
+    assert done, f"still running after {seconds} s"
+    return done[0]
+
+
+class TestForEachPlane:
+    def test_one_cpu_and_two_give_the_same_bytes(self, monkeypatch):
+        if labels._cpu_count() < 2:
+            pytest.skip("needs two CPUs")
+        scenes = synth.generate(synth.SceneSpec(size=256, n_classes=6, n_images=2, seed=4))
+
+        def records():
+            out = []
+            for i, scene in enumerate(scenes):
+                rec = derive_record(scene.image, scene.mask, 6)
+                aug = augment.augment_record(rec, augment.AugmentConfig(),
+                                             np.random.default_rng(i))
+                out += [getattr(r, name).tobytes() for r in (rec, aug) for name in vars(r)]
+            return out
+
+        two = records()
+        assert labels._worker is not None  # the 256 px planes took the threaded path
+        _set_cpus(monkeypatch, 1)
+        assert labels._cpu_count() == 1
+        assert records() == two
+
+    def test_every_item_runs_and_the_first_error_in_item_order_wins(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        ran = set()
+
+        def fn(i):
+            # Slow items keep both threads busy; item 1 raises after item 3.
+            time.sleep({1: 0.1, 3: 0.0}.get(i, 0.02))
+            ran.add(i)
+            if i == 1:
+                raise KeyError(i)
+            if i == 3:
+                raise ValueError(i)
+
+        with pytest.raises(KeyError):
+            for_each_plane(fn, 6, PARALLEL_MIN_PX)
+        assert ran == set(range(6))
+
+    def test_serial_path_also_runs_every_item(self):
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            raise ValueError(i)
+
+        with pytest.raises(ValueError, match="0"):
+            for_each_plane(fn, 3, PARALLEL_MIN_PX - 1)
+        assert ran == [0, 1, 2]
+
+    def test_nested_calls_return(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        out = np.zeros((4, 4))
+
+        def outer(i):
+            def inner(j):
+                out[i, j] = i * 4 + j
+            for_each_plane(inner, 4, PARALLEL_MIN_PX)
+
+        _run_with_timeout(lambda: for_each_plane(outer, 4, PARALLEL_MIN_PX))
+        assert (out.ravel() == np.arange(16)).all()
+        # A call made on the worker thread itself runs there inline: it
+        # submits nothing to the worker.
+        worker = labels._shared_worker()
+        submits, on_worker = [], []
+
+        class CountingWorker:
+            def submit(self, *args):
+                submits.append(args)
+                return worker.submit(*args)
+
+        monkeypatch.setattr(labels, "_worker", CountingWorker())
+        _run_with_timeout(lambda: worker.submit(for_each_plane, lambda j: on_worker.append(
+            threading.get_ident()), 4, PARALLEL_MIN_PX).result())
+        assert on_worker == [labels._worker_ident] * 4
+        assert submits == []
+
+    def test_concurrent_callers_start_one_worker(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(labels, "_worker", None)
+        monkeypatch.setattr(labels, "_worker_ident", None)
+        made = []
+
+        class SlowExecutor(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.05)  # both callers reach the lock meanwhile
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowExecutor)
+        start = threading.Barrier(2)
+
+        def call():
+            start.wait()
+            for_each_plane(lambda i: None, 4, PARALLEL_MIN_PX)
+
+        callers = [threading.Thread(target=call) for _ in range(2)]
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(20)
+            assert len(made) == 1
+        finally:
+            for pool in made:
+                pool.shutdown()
+
+    def test_many_callers_each_run_every_item_once(self, monkeypatch):
+        """More callers than CPUs, switching threads often: each call runs
+        each of its items exactly once, whichever thread takes it."""
+        _set_cpus(monkeypatch, 2)
+        n_callers, n_calls, n_items = 6, 20, 7
+        counts = np.zeros((n_callers, n_calls, n_items), dtype=np.int64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def caller(c):
+                for k in range(n_calls):
+                    def item(i):
+                        counts[c, k, i] += 1
+                    for_each_plane(item, n_items, PARALLEL_MIN_PX)
+
+            threads = [threading.Thread(target=caller, args=(c,)) for c in range(n_callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (counts == 1).all()
