@@ -6,7 +6,7 @@ warped distance transform is not the distance transform of the warped mask.
 The warp imports scipy itself, as labels does, so that a process that
 derives no labels never loads it.  Image channels and the mask warp
 independently, so ``labels.for_each_plane`` spreads them over the calling
-thread and its shared worker.
+thread and one helper thread.
 """
 
 from __future__ import annotations

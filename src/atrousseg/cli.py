@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import evaluate, fileio, losses, pipeline, synth, trainer
 from .config import apply_overrides, load_config
-from .labels import check_sample, derive_record
+from .labels import check_sample, derive_record, for_each_plane
 from .models import DEPTHS, HEADS, ModelSpec, build_model, load_checkpoint, param_count
 from .trainer import batch_loss, micro_batches
 
@@ -96,17 +95,15 @@ def cmd_derive_labels(args) -> int:
         check_sample(image, mask, n_classes)
     out = fileio.ensure_dir(args.out)
 
-    def derive_one(item):
-        i, (image, mask) = item
-        rec = derive_record(image, mask, n_classes)
+    def derive_one(i):
+        # whole records go to two threads; derive_record's planes run inline
+        rec = derive_record(*pairs[i], n_classes)
         stem = out / f"record_{i:04d}"
         for name in ("onehot", "boundary", "distance", "hsv"):
             fileio.write_nct(f"{stem}.{name}.nct", getattr(rec, name))
-        return i
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        done = list(pool.map(derive_one, enumerate(pairs)))
-    print(f"derived labels for {len(done)} records under {out}")
+    for_each_plane(derive_one, len(pairs), min((mask.size for _, mask in pairs), default=0))
+    print(f"derived labels for {len(pairs)} records under {out}")
     return 0
 
 
@@ -210,13 +207,6 @@ def cmd_param_count(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_config_flags(p, with_overrides: bool = True):
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out", help="output directory (overrides config out_dir)")
@@ -243,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int,
                    help="class count (default: the largest class id in any mask, plus one)")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_derive_labels, kind="data")
 
     p = sub.add_parser("train", help="train a model per config")

@@ -10,10 +10,10 @@ loads it.
 
 scipy's distance transform and affine warp release the GIL, so
 ``for_each_plane`` runs independent per-plane work on the calling thread
-plus one shared worker thread: ``derive_record``'s per-class boundary and
-distance planes here, and augmentation's per-channel warps.  Planes smaller
-than ``PARALLEL_MIN_PX`` pixels, and machines with one CPU, keep a serial
-loop and start no thread.
+plus one helper thread that lives for that call: ``derive_record``'s
+per-class boundary and distance planes here, and augmentation's per-channel
+warps.  Planes smaller than ``PARALLEL_MIN_PX`` pixels, and machines with
+one CPU, keep a serial loop and start no thread.
 """
 
 from __future__ import annotations
@@ -30,23 +30,12 @@ import numpy as np
 # 0.98-1.42x at 96 and 128 px, and 1.10-1.63x at 192 and 256 px.
 PARALLEL_MIN_PX = 1 << 14
 
-_worker = None         # the shared one-thread ThreadPoolExecutor, once started
-_worker_ident = None   # its thread's ident
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    # A forked child copies the executor but not its thread.
-    global _worker, _worker_ident, _worker_lock
-    _worker, _worker_ident, _worker_lock = None, None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+# Set on a thread while it runs the items of a two-thread call.
+_running_items = threading.local()
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on, capped at 2 (the caller and the worker)."""
+    """CPUs this process may run on, capped at 2 (the caller and the helper)."""
     if hasattr(os, "sched_getaffinity"):
         n = len(os.sched_getaffinity(0))
     else:
@@ -54,30 +43,16 @@ def _cpu_count() -> int:
     return min(n, 2)
 
 
-def _note_worker_ident() -> None:
-    global _worker_ident
-    _worker_ident = threading.get_ident()
-
-
-def _shared_worker():
-    global _worker
-    if _worker is None:
-        with _worker_lock:
-            if _worker is None:
-                from concurrent.futures import ThreadPoolExecutor
-                _worker = ThreadPoolExecutor(max_workers=1, initializer=_note_worker_ident,
-                                             thread_name_prefix="atrousseg-planes")
-    return _worker
-
-
 def for_each_plane(fn, n: int, plane_px: int) -> None:
-    """Call ``fn(i)`` for i in range(n), on this thread and one shared worker.
+    """Call ``fn(i)`` for i in range(n), on this thread and one helper thread.
 
     Each call must write only its own output, so the result does not depend
-    on which thread ran it.  Every call has finished when this returns; if
-    any raised, the first error in item order is raised.  Runs on this
-    thread alone when ``plane_px`` is below ``PARALLEL_MIN_PX``, on a one-CPU
-    machine, or when called from the worker itself.
+    on which thread ran it.  The helper starts with this call and is joined
+    before it returns, so every call has finished then; if any raised, the
+    first error in item order is raised.  Runs on this thread alone when
+    ``plane_px`` is below ``PARALLEL_MIN_PX``, on a one-CPU machine, or when
+    called from an item of another two-thread call, so nesting never makes
+    more than two threads.
     """
     items = iter(range(n))
     take = threading.Lock()
@@ -91,17 +66,26 @@ def for_each_plane(fn, n: int, plane_px: int) -> None:
                 return
             try:
                 fn(i)
-            except Exception as e:
+            except BaseException as e:  # an interrupt, too, waits for the other thread
                 errors[i] = e
 
-    helper = None
-    if (n > 1 and plane_px >= PARALLEL_MIN_PX and _cpu_count() > 1
-            and threading.get_ident() != _worker_ident):
-        helper = _shared_worker().submit(drain)
-    drain()
-    # A worker still busy with another caller's items never started ours.
-    if helper is not None and not helper.cancel():
-        helper.result()
+    def drain_marked():
+        _running_items.on = True
+        try:
+            drain()
+        finally:
+            _running_items.on = False
+
+    if (n < 2 or plane_px < PARALLEL_MIN_PX or _cpu_count() < 2
+            or getattr(_running_items, "on", False)):
+        drain()
+    else:
+        helper = threading.Thread(target=drain_marked, name="atrousseg-planes")
+        helper.start()
+        try:
+            drain_marked()
+        finally:
+            helper.join()
     if errors:
         raise errors[min(errors)]
 

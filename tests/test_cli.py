@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from atrousseg import evaluate, fileio, pipeline, trainer
+from atrousseg import evaluate, fileio, labels, pipeline, synth, trainer
 from atrousseg.cli import build_parser, main
 from atrousseg.config import load_config
 from atrousseg.labels import derive_record
@@ -133,7 +133,7 @@ class TestSynthAndLabels:
         main(["synth", "--config", str(cfg)])
         out = tmp_path / "labels"
         code = main(["derive-labels", "--data", str(tmp_path / "ds"),
-                     "--out", str(out), "--classes", "3", "--workers", "2"])
+                     "--out", str(out), "--classes", "3"])
         assert code == 0
         onehot = fileio.read_nct(out / "record_0000.onehot.nct")
         assert onehot.shape == (3, 64, 64)
@@ -162,28 +162,33 @@ class TestSynthAndLabels:
             for name in ("onehot", "boundary", "distance"):
                 assert fileio.read_nct(out / f"record_{i:04d}.{name}.nct").shape == (3, 64, 64)
 
-    def test_derive_labels_workers_write_the_same_bytes_at_256px(self, tmp_path, capsys):
-        """256 px planes take labels' two-thread path inside each --workers
-        thread; the files match a single record-level thread byte for byte."""
+    def test_derive_labels_workers_write_the_same_bytes_at_256px(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        """derive-labels puts 256 px records on two threads; its files match
+        derive_record's on one thread byte for byte."""
         data = {"kind": "synthetic", "size": 256, "n_classes": 6, "n_images": 4, "seed": 3,
                 "split": [0.5, 0.25, 0.25]}
         ds = tmp_path / "ds"
         assert main(["synth", "--config", str(write_config(tmp_path, data=data,
                                                          out_dir=str(ds)))]) == 0
-        files = {}
-        for n in (1, 2):
-            out = tmp_path / f"labels{n}"
-            assert main(["derive-labels", "--data", str(ds), "--out", str(out),
-                         "--workers", str(n)]) == 0
-            files[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert len(files[1]) == 16
-        assert files[1] == files[2]
+        out = tmp_path / "labels"
+        assert main(["derive-labels", "--data", str(ds), "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(files) == 16
+        monkeypatch.setattr(labels, "_cpu_count", lambda: 1)
+        want = tmp_path / "want"
+        want.mkdir()
+        for i, (image, mask) in enumerate(synth.load_dataset(ds)):
+            rec = derive_record(image, mask, 6)
+            for name in ("onehot", "boundary", "distance", "hsv"):
+                fileio.write_nct(want / f"record_{i:04d}.{name}.nct", getattr(rec, name))
+        assert files == {p.name: p.read_bytes() for p in want.iterdir()}
 
     def test_derive_labels_data_error_writes_nothing(self, tmp_path, capsys):
         ds = self.synth_dataset(tmp_path, capsys)
         out = tmp_path / "labels"
         code = main(["derive-labels", "--data", str(ds), "--out", str(out),
-                     "--classes", "2", "--workers", "2"])  # the masks hold ids 0..2
+                     "--classes", "2"])  # the masks hold ids 0..2
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
@@ -385,11 +390,6 @@ def _eval_metrics_json_is_a_directory(tmp_path):
     return [*_eval_inputs(tmp_path), "--out", str(tmp_path / "o")]
 
 
-def _derive_workers(n):
-    return lambda tmp_path: ["derive-labels", "--data", str(_synth_dataset(tmp_path)),
-                             "--out", str(tmp_path / "run"), "--workers", str(n)]
-
-
 # JSON values that an integer config field refuses, by section and field
 _NOT_INTEGERS = [("data", "size", 64.0), ("data", "size", 6.5), ("data", "n_images", 4.0),
                  ("data", "seed", 1.0), ("data", "shapes_per_class", 3.0),
@@ -446,8 +446,6 @@ class TestOneErrorLineBeforeAnyWrite:
         *(pytest.param(_run(command, section=section, **{key: value}), "config", 1,
                        id=f"{command}-{section}.{key}-{value!r}")
           for command in ("train", "lr-find") for section, key, value in _NOT_INTEGERS),
-        *(pytest.param(_derive_workers(n), "config", 1, id=f"derive-labels-workers-{n}")
-          for n in (0, -3)),
         # --out at an existing file, or (loss-field) under one
         *(pytest.param(_out_is_a_file(_run(command)), "data", 2, id=f"{command}-out-is-a-file")
           for command in ("synth", "train")),

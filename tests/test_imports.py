@@ -1,8 +1,8 @@
 """Inference and checkpoint paths run without scipy, and so do the one-hot
 and boundary targets; only the distance transform and augmentation load it.
 Nothing on the model path starts a thread of its own, nor does label work on
-small planes; label work on large planes starts one shared worker, and a
-forked child starts its own."""
+small planes; label work on large planes joins the helper thread each call
+starts, and a forked child derives the same bytes."""
 
 import os
 import subprocess
@@ -101,12 +101,18 @@ SMALL_LABELS_SCRIPT = textwrap.dedent("""
 
     assert "concurrent.futures" not in sys.modules, "importing labels loaded concurrent.futures"
 
+    started = []
+
+    def counting_start(thread, start=threading.Thread.start):
+        started.append(thread)
+        start(thread)
+
+    threading.Thread.start = counting_start
+
     for i, scene in enumerate(synth.generate(synth.SceneSpec(size=64, n_classes=4, n_images=3))):
         rec = labels.derive_record(scene.image, scene.mask, 4)
         augment.augment_record(rec, augment.AugmentConfig(), np.random.default_rng(i))
-    # scipy.ndimage loads concurrent.futures itself (through numpy.testing),
-    # so the check is that labels made no executor.
-    assert labels._worker is None, "labels started its worker"
+    assert not started, started
     assert threading.active_count() == 1, threading.enumerate()
     print("ok")
 """)
@@ -129,6 +135,14 @@ FORK_SCRIPT = textwrap.dedent("""
 
     from atrousseg import labels, synth
 
+    started = []
+
+    def counting_start(thread, start=threading.Thread.start):
+        started.append(thread)
+        start(thread)
+
+    threading.Thread.start = counting_start
+
     scenes = synth.generate(synth.SceneSpec(size=256, n_classes=6, n_images=2, seed=5))
 
     def derive(scene):
@@ -136,11 +150,12 @@ FORK_SCRIPT = textwrap.dedent("""
 
     want = derive(scenes[1]).distance.tobytes()
     derive(scenes[0])
-    assert threading.active_count() == 2, threading.enumerate()
+    assert started, "the 256 px planes started no helper"
+    assert threading.active_count() == 1, threading.enumerate()
 
     pid = os.fork()
-    if pid == 0:  # the child: the parent's worker thread is not here
-        ok = derive(scenes[1]).distance.tobytes() == want and threading.active_count() == 2
+    if pid == 0:
+        ok = derive(scenes[1]).distance.tobytes() == want and threading.active_count() == 1
         os._exit(0 if ok else 1)
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
@@ -152,7 +167,7 @@ FORK_SCRIPT = textwrap.dedent("""
         os.kill(pid, 9)
         os.waitpid(pid, 0)
         raise AssertionError("the forked child's derive did not finish in 60 s")
-    assert os.waitstatus_to_exitcode(status) == 0, "the child derived wrong or started no worker"
+    assert os.waitstatus_to_exitcode(status) == 0, "the child derived wrong or left a thread"
     print("ok")
 """)
 
@@ -160,9 +175,9 @@ FORK_SCRIPT = textwrap.dedent("""
 @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs fork and two CPUs")
-def test_large_label_work_shares_one_worker_across_fork():
-    """256 px derives leave exactly one extra thread, and a child forked
-    after them derives with a worker of its own."""
+def test_large_label_work_joins_its_threads_across_fork():
+    """256 px derives start helpers and leave no thread behind, and a child
+    forked after them derives the same bytes."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=300)

@@ -2,7 +2,6 @@
 and distance scans, color round-trips, a byte digest of derived scenes, and
 the two-thread per-plane helper."""
 
-import concurrent.futures
 import hashlib
 import os
 import sys
@@ -325,6 +324,19 @@ def _run_with_timeout(fn, seconds=20.0):
     return done[0]
 
 
+def _count_thread_starts(monkeypatch):
+    """Record every thread started from now on, through Thread.start."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
 class TestForEachPlane:
     def test_one_cpu_and_two_give_the_same_bytes(self, monkeypatch):
         if labels._cpu_count() < 2:
@@ -340,11 +352,14 @@ class TestForEachPlane:
                 out += [getattr(r, name).tobytes() for r in (rec, aug) for name in vars(r)]
             return out
 
+        started = _count_thread_starts(monkeypatch)
         two = records()
-        assert labels._worker is not None  # the 256 px planes took the threaded path
+        assert started  # the 256 px planes took the threaded path
         _set_cpus(monkeypatch, 1)
         assert labels._cpu_count() == 1
+        del started[:]
         assert records() == two
+        assert not started
 
     def test_every_item_runs_and_the_first_error_in_item_order_wins(self, monkeypatch):
         _set_cpus(monkeypatch, 2)
@@ -374,62 +389,51 @@ class TestForEachPlane:
             for_each_plane(fn, 3, PARALLEL_MIN_PX - 1)
         assert ran == [0, 1, 2]
 
-    def test_nested_calls_return(self, monkeypatch):
+    def test_an_interrupt_on_the_caller_waits_for_every_item(self, monkeypatch):
+        """A KeyboardInterrupt from an item on the calling thread is raised
+        only once the helper has run the other items too."""
         _set_cpus(monkeypatch, 2)
+        caller = threading.get_ident()
+        ran, interrupted = set(), []
+
+        def fn(i):
+            if threading.get_ident() == caller and not interrupted:
+                interrupted.append(i)
+                ran.add(i)
+                raise KeyboardInterrupt
+            time.sleep(0.02)
+            ran.add(i)
+
+        with pytest.raises(KeyboardInterrupt):
+            for_each_plane(fn, 8, PARALLEL_MIN_PX)
+        assert len(interrupted) == 1
+        assert ran == set(range(8))
+
+    def test_nested_calls_return(self, monkeypatch):
+        """A call made inside another call's items runs inline on the thread
+        that took the item, the caller's or the helper's, and starts no thread."""
+        _set_cpus(monkeypatch, 2)
+        started = _count_thread_starts(monkeypatch)
+        both = threading.Barrier(2, timeout=10)
         out = np.zeros((4, 4))
+        outer_thread, inner_threads = {}, {}
 
         def outer(i):
+            if i < 2:
+                both.wait()  # items 0 and 1 run on different threads
+            outer_thread[i] = threading.get_ident()
+            inner_threads[i] = set()
+
             def inner(j):
+                inner_threads[i].add(threading.get_ident())
                 out[i, j] = i * 4 + j
             for_each_plane(inner, 4, PARALLEL_MIN_PX)
 
         _run_with_timeout(lambda: for_each_plane(outer, 4, PARALLEL_MIN_PX))
         assert (out.ravel() == np.arange(16)).all()
-        # A call made on the worker thread itself runs there inline: it
-        # submits nothing to the worker.
-        worker = labels._shared_worker()
-        submits, on_worker = [], []
-
-        class CountingWorker:
-            def submit(self, *args):
-                submits.append(args)
-                return worker.submit(*args)
-
-        monkeypatch.setattr(labels, "_worker", CountingWorker())
-        _run_with_timeout(lambda: worker.submit(for_each_plane, lambda j: on_worker.append(
-            threading.get_ident()), 4, PARALLEL_MIN_PX).result())
-        assert on_worker == [labels._worker_ident] * 4
-        assert submits == []
-
-    def test_concurrent_callers_start_one_worker(self, monkeypatch):
-        _set_cpus(monkeypatch, 2)
-        monkeypatch.setattr(labels, "_worker", None)
-        monkeypatch.setattr(labels, "_worker_ident", None)
-        made = []
-
-        class SlowExecutor(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                time.sleep(0.05)  # both callers reach the lock meanwhile
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowExecutor)
-        start = threading.Barrier(2)
-
-        def call():
-            start.wait()
-            for_each_plane(lambda i: None, 4, PARALLEL_MIN_PX)
-
-        callers = [threading.Thread(target=call) for _ in range(2)]
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(20)
-            assert len(made) == 1
-        finally:
-            for pool in made:
-                pool.shutdown()
+        assert len(set(outer_thread.values())) == 2
+        assert all(inner_threads[i] == {outer_thread[i]} for i in range(4))
+        assert len(started) == 2  # the timeout thread and the outer call's helper
 
     def test_many_callers_each_run_every_item_once(self, monkeypatch):
         """More callers than CPUs, switching threads often: each call runs
